@@ -18,10 +18,8 @@ __version__ = "0.1.0"
 from .conic import (
     CgwResult,
     ConeMetricSpec,
-    ConePoint,
     ConicPlan,
     cone_cost,
-    cone_dist,
     conic_energy,
     conic_lift,
     conic_local_cost,
@@ -115,12 +113,10 @@ __all__ = [
     "optimal_scale_linear",
     "scaling_bias_report",
     "ConeMetricSpec",
-    "ConePoint",
     "ConicPlan",
     "CgwResult",
     "perspective_H",
     "cone_cost",
-    "cone_dist",
     "dilate",
     "conic_lift",
     "conic_energy",

@@ -202,6 +202,13 @@ def _random_pair(rng, n):
     return X, Y
 
 
+def _floored_ratio(num, denom):
+    # both sides below the floor: the spaces match exactly, ratio 1 by convention
+    if abs(num) < RATIO_FLOOR and abs(denom) < RATIO_FLOOR:
+        return 1.0
+    return num / max(denom, RATIO_FLOOR)
+
+
 def cgw_ugw_ratio(X, Y, rho, eps, K=10, L=10, restarts=20, seed=0, cfg=None):
     """CGW cost over the eps-free UGW primal, with the 0/0 guard at 1.
 
@@ -212,18 +219,41 @@ def cgw_ugw_ratio(X, Y, rho, eps, K=10, L=10, restarts=20, seed=0, cfg=None):
     """
     cfg = cfg or UgwConfig(eps=eps, rho1=rho, rho2=rho, tol_pot=1e-11)
     sol = solve_ugw(X, Y, cfg)
-    denom = sol.primal_unregularized
     res = solve_cgw(X, Y, ConeMetricSpec("gh", rho=rho), K=K, L=L, restarts=restarts, seed=seed)
-    num = res.cost
-    if abs(num) < RATIO_FLOOR and abs(denom) < RATIO_FLOOR:
-        ratio = 1.0
-    else:
-        ratio = num / max(denom, RATIO_FLOOR)
-    return ratio, sol, res
+    return _floored_ratio(res.cost, sol.primal_unregularized), sol, res
 
 
 # ---------------------------------------------------------------------------
 # Drivers
+
+
+def _sweep(fields, cases, solve):
+    """Run solve(*args) for each (key, *args) of ``cases``; returns (rows, ok).
+
+    key holds the case's key columns and solve returns the rest of its row,
+    "converged" included. A case that raises is recorded as a row of blanks
+    with converged=False and the error, and the sweep goes on. ok is True
+    when every case converged.
+    """
+    rows = []
+    ok = True
+    for key, *args in cases:
+        try:
+            row = {**key, **solve(*args), "error": ""}
+        except Exception as exc:  # recorded, driver keeps going
+            row = {**dict.fromkeys(fields, ""), **key, "converged": False, "error": str(exc)}
+        rows.append(row)
+        ok = ok and row["converged"]
+    return rows, ok
+
+
+def _publish(name, out_dir, seed, fmt, config, tables, files=(), **result):
+    """Write each (file stem, rows, fields) table, then the manifest over the
+    tables and ``files``; returns ``result`` with the written paths added."""
+    files = [write_table(rows, fields, os.path.join(out_dir, stem), fmt)
+             for stem, rows, fields in tables] + list(files)
+    write_manifest(out_dir, name, seed, config, files)
+    return {**result, "files": files}
 
 
 def run_perturb(
@@ -252,45 +282,20 @@ def run_perturb(
     X = _cloud_space(base, "x")
     cfg = UgwConfig(eps=eps, rho1=rho, rho2=rho, tol_pot=1e-11)
     spec = ConeMetricSpec("gh", rho=rho)
-    rows = []
-    ok = True
-    for t in ts:
-        Y = _cloud_space(base + t * delta, "y")
-        try:
-            deb = debiased_ugw(X, Y, cfg)
-            res = solve_cgw(X, Y, spec, K=grid_k, L=grid_l, restarts=restarts, seed=seed)
-            num, denom = res.cost, deb.value
-            if abs(num) < RATIO_FLOOR and abs(denom) < RATIO_FLOOR:
-                ratio = 1.0
-            else:
-                ratio = num / max(denom, RATIO_FLOOR)
-            rows.append(
-                {
-                    "t": t,
-                    "ratio": ratio,
-                    "ugw_debiased": denom,
-                    "ugw_cross": deb.cross,
-                    "cgw_cost": res.cost,
-                    "converged": deb.converged,
-                    "error": "",
-                }
-            )
-            ok = ok and deb.converged
-        except Exception as exc:  # recorded, driver keeps going
-            rows.append(
-                {"t": t, "ratio": "", "ugw_debiased": "", "ugw_cross": "", "cgw_cost": "",
-                 "converged": False, "error": str(exc)}
-            )
-            ok = False
+
+    def solve(Y):
+        deb = debiased_ugw(X, Y, cfg)
+        res = solve_cgw(X, Y, spec, K=grid_k, L=grid_l, restarts=restarts, seed=seed)
+        return {"ratio": _floored_ratio(res.cost, deb.value), "ugw_debiased": deb.value,
+                "ugw_cross": deb.cross, "cgw_cost": res.cost, "converged": deb.converged}
+
+    fields = ["t", "ratio", "ugw_debiased", "ugw_cross", "cgw_cost", "converged", "error"]
+    rows, ok = _sweep(fields, (({"t": t}, _cloud_space(base + t * delta, "y")) for t in ts),
+                      solve)
     config = {"n": n, "ts": list(ts), "rho": rho, "eps": eps, "grid_k": grid_k,
               "grid_l": grid_l, "restarts": restarts}
-    files = [
-        write_table(rows,
-                    ["t", "ratio", "ugw_debiased", "ugw_cross", "cgw_cost", "converged", "error"],
-                    os.path.join(out_dir, "perturb"), fmt)
-    ]
-    write_manifest(out_dir, "perturb", seed, config, files)
-    return {"rows": rows, "converged": ok, "files": files}
+    return _publish("perturb", out_dir, seed, fmt, config, [("perturb", rows, fields)],
+                    rows=rows, converged=ok)
 
 
 def run_ratio_hist(
@@ -306,26 +311,22 @@ def run_ratio_hist(
     fmt="csv",
 ):
     """Histogram of grid-to-quadratic cost ratios over random pairs."""
-    rows = []
     ratios = {n: [] for n in ns}
-    ok = True
-    for n in ns:
-        for trial in range(trials):
-            rng = np.random.default_rng([seed, n, trial])
-            X, Y = _random_pair(rng, n)
-            try:
-                ratio, sol, _ = cgw_ugw_ratio(
-                    X, Y, rho, eps, K=grid_k, L=grid_l, restarts=restarts,
-                    seed=seed * 1000 + trial,
-                )
-                ratios[n].append(ratio)
-                rows.append({"n": n, "trial": trial, "ratio": ratio,
-                             "converged": sol.converged, "error": ""})
-                ok = ok and sol.converged
-            except Exception as exc:
-                rows.append({"n": n, "trial": trial, "ratio": "", "converged": False,
-                             "error": str(exc)})
-                ok = False
+
+    def cases():
+        for n in ns:
+            for trial in range(trials):
+                rng = np.random.default_rng([seed, n, trial])
+                yield {"n": n, "trial": trial}, n, trial, *_random_pair(rng, n)
+
+    def solve(n, trial, X, Y):
+        ratio, sol, _ = cgw_ugw_ratio(X, Y, rho, eps, K=grid_k, L=grid_l, restarts=restarts,
+                                      seed=seed * 1000 + trial)
+        ratios[n].append(ratio)
+        return {"ratio": ratio, "converged": sol.converged}
+
+    fields = ["n", "trial", "ratio", "converged", "error"]
+    rows, ok = _sweep(fields, cases(), solve)
     bins = np.arange(0.95, 1.31, 0.01)
     hist_rows = []
     for n in ns:
@@ -341,20 +342,16 @@ def run_ratio_hist(
                           "count": underflow})
     config = {"ns": list(ns), "trials": trials, "rho": rho, "eps": eps,
               "grid_k": grid_k, "grid_l": grid_l, "restarts": restarts}
-    files = [
-        write_table(rows, ["n", "trial", "ratio", "converged", "error"],
-                    os.path.join(out_dir, "ratio_hist_trials"), fmt),
-        write_table(hist_rows, ["n", "bin_lo", "bin_hi", "count"],
-                    os.path.join(out_dir, "ratio_hist"), fmt),
-    ]
-    write_manifest(out_dir, "ratio_hist", seed, config, files)
-    return {"rows": rows, "hist": hist_rows, "ratios": ratios, "converged": ok, "files": files}
+    tables = [("ratio_hist_trials", rows, fields),
+              ("ratio_hist", hist_rows, ["n", "bin_lo", "bin_hi", "count"])]
+    return _publish("ratio_hist", out_dir, seed, fmt, config, tables,
+                    rows=rows, hist=hist_rows, ratios=ratios, converged=ok)
 
 
 def run_moons(
     out_dir=".",
     seed=0,
-    seeds=None,
+    seeds=(),
     n=30,
     n_outliers=3,
     rhos=(10.0, 1.0, 0.1, 0.01),
@@ -366,58 +363,42 @@ def run_moons(
     """Mass assigned to far-away outlier points as the marginal penalty drops.
 
     X carries the outliers, Y is a clean draw; the row marginal of the plan
-    restricted to outlier atoms is reported per rho.
+    restricted to outlier atoms is reported per rho. Each of ``seeds`` draws
+    one pair of clouds; no seeds means the single cloud of ``seed``.
     """
-    if seeds is None:
-        seeds = [seed]
-    rows = []
-    ok = True
-    for sd in seeds:
-        cloud = geometry.gen_shape("two_moons_outliers", n, sd, n_outliers=n_outliers)
-        clean = geometry.gen_shape("two_moons_outliers", n, sd + 10_000, n_outliers=0)
-        X = geometry.space_from_points(cloud, label="moons+outliers")
-        Y = geometry.space_from_points(clean, label="moons")
-        outlier_idx = np.nonzero(cloud.tags[X.kept] == -1)[0]
-        for rho in rhos:
-            try:
-                cfg = UgwConfig(eps=eps, rho1=rho, rho2=rho, tol_pot=tol_pot,
-                                max_outer=max_outer)
-                sol = solve_ugw(X, Y, cfg)
-                p1 = sol.pi.row_marginal
-                mass = float(p1[outlier_idx].sum())
-                share = sol.pi.mass / X.n
-                rows.append(
-                    {
-                        "seed": sd,
-                        "rho": rho,
-                        "outlier_mass": mass,
-                        "per_point_share": share,
-                        "mass_over_share": mass / share if share > 0 else math.inf,
-                        "plan_mass": sol.pi.mass,
-                        "converged": sol.converged,
-                        "inner_capped": sol.diagnostics["inner_capped"],
-                        "error": "",
-                    }
-                )
-                ok = ok and sol.converged
-            except Exception as exc:
-                rows.append({"seed": sd, "rho": rho, "outlier_mass": "", "per_point_share": "",
-                             "mass_over_share": "", "plan_mass": "", "converged": False,
-                             "inner_capped": "", "error": str(exc)})
-                ok = False
-    config = {"seeds": list(seeds), "n": n, "n_outliers": n_outliers,
+    seeds = list(seeds) or [seed]
+
+    def cases():
+        for sd in seeds:
+            cloud = geometry.gen_shape("two_moons_outliers", n, sd, n_outliers=n_outliers)
+            clean = geometry.gen_shape("two_moons_outliers", n, sd + 10_000, n_outliers=0)
+            X = geometry.space_from_points(cloud, label="moons+outliers")
+            Y = geometry.space_from_points(clean, label="moons")
+            outlier_idx = np.nonzero(cloud.tags[X.kept] == -1)[0]
+            for rho in rhos:
+                yield {"seed": sd, "rho": rho}, X, Y, outlier_idx, rho
+
+    def solve(X, Y, outlier_idx, rho):
+        cfg = UgwConfig(eps=eps, rho1=rho, rho2=rho, tol_pot=tol_pot, max_outer=max_outer)
+        sol = solve_ugw(X, Y, cfg)
+        mass = float(sol.pi.row_marginal[outlier_idx].sum())
+        share = sol.pi.mass / X.n
+        return {
+            "outlier_mass": mass,
+            "per_point_share": share,
+            "mass_over_share": mass / share if share > 0 else math.inf,
+            "plan_mass": sol.pi.mass,
+            "converged": sol.converged,
+            "inner_capped": sol.diagnostics["inner_capped"],
+        }
+
+    fields = ["seed", "rho", "outlier_mass", "per_point_share", "mass_over_share",
+              "plan_mass", "converged", "inner_capped", "error"]
+    rows, ok = _sweep(fields, cases(), solve)
+    config = {"seeds": seeds, "n": n, "n_outliers": n_outliers,
               "rhos": list(rhos), "eps": eps, "tol_pot": tol_pot, "max_outer": max_outer}
-    files = [
-        write_table(
-            rows,
-            ["seed", "rho", "outlier_mass", "per_point_share", "mass_over_share",
-             "plan_mass", "converged", "inner_capped", "error"],
-            os.path.join(out_dir, "moons"),
-            fmt,
-        )
-    ]
-    write_manifest(out_dir, "moons", seed, config, files)
-    return {"rows": rows, "converged": ok, "files": files}
+    return _publish("moons", out_dir, seed, fmt, config, [("moons", rows, fields)],
+                    rows=rows, converged=ok)
 
 
 def run_graph_match(
@@ -437,52 +418,30 @@ def run_graph_match(
     g_clean = geometry.gen_shape("community_graph", n, seed + 10_000, n_outliers=0)
     X = geometry.space_from_graph(g, label="graph+outliers")
     Y = geometry.space_from_graph(g_clean, label="graph")
-    rows = []
-    ok = True
-    files = []
-    for eps in eps_grid:
-        for rho in rho_grid:
-            tag = f"eps{eps:g}_rho{'inf' if math.isinf(rho) else format(rho, 'g')}"
-            try:
-                cfg = UgwConfig(eps=eps, rho1=rho, rho2=rho, tol_pot=tol_pot,
-                                max_outer=max_outer)
-                sol = solve_ugw(X, Y, cfg)
-                plan_file = os.path.join(out_dir, f"graph_match_plan_{tag}.csv")
-                save_plan(sol.pi, plan_file)
-                files.append(plan_file)
-                rows.append(
-                    {
-                        "eps": eps,
-                        "rho": "inf" if math.isinf(rho) else rho,
-                        "cost_biconvex": sol.cost_biconvex,
-                        "plan_mass": sol.pi.mass,
-                        "iterations": sol.outer_iterations,
-                        "converged": sol.converged,
-                        "plan_file": os.path.basename(plan_file),
-                        "error": "",
-                    }
-                )
-                ok = ok and sol.converged
-            except Exception as exc:
-                rows.append({"eps": eps, "rho": "inf" if math.isinf(rho) else rho,
-                             "cost_biconvex": "", "plan_mass": "", "iterations": "",
-                             "converged": False, "plan_file": "", "error": str(exc)})
-                ok = False
+
+    def rho_label(rho):
+        return "inf" if math.isinf(rho) else rho
+
+    def solve(eps, rho):
+        cfg = UgwConfig(eps=eps, rho1=rho, rho2=rho, tol_pot=tol_pot, max_outer=max_outer)
+        sol = solve_ugw(X, Y, cfg)
+        plan_file = f"graph_match_plan_eps{eps:g}_rho{rho:g}.csv"
+        save_plan(sol.pi, os.path.join(out_dir, plan_file))
+        return {"cost_biconvex": sol.cost_biconvex, "plan_mass": sol.pi.mass,
+                "iterations": sol.outer_iterations, "converged": sol.converged,
+                "plan_file": plan_file}
+
+    fields = ["eps", "rho", "cost_biconvex", "plan_mass", "iterations", "converged",
+              "plan_file", "error"]
+    cases = (({"eps": eps, "rho": rho_label(rho)}, eps, rho)
+             for eps in eps_grid for rho in rho_grid)
+    rows, ok = _sweep(fields, cases, solve)
     config = {"n": n, "n_outliers": n_outliers, "eps_grid": list(eps_grid),
-              "rho_grid": ["inf" if math.isinf(r) else r for r in rho_grid],
+              "rho_grid": [rho_label(r) for r in rho_grid],
               "tol_pot": tol_pot, "max_outer": max_outer}
-    files.insert(
-        0,
-        write_table(
-            rows,
-            ["eps", "rho", "cost_biconvex", "plan_mass", "iterations", "converged",
-             "plan_file", "error"],
-            os.path.join(out_dir, "graph_match"),
-            fmt,
-        ),
-    )
-    write_manifest(out_dir, "graph_match", seed, config, files)
-    return {"rows": rows, "converged": ok, "files": files}
+    plans = [os.path.join(out_dir, row["plan_file"]) for row in rows if row["plan_file"]]
+    return _publish("graph_match", out_dir, seed, fmt, config,
+                    [("graph_match", rows, fields)], plans, rows=rows, converged=ok)
 
 
 def run_scale_bias(
@@ -514,18 +473,11 @@ def run_scale_bias(
     rows = [asdict(r) for r in reports]
     for row in rows:
         row["theta_gap"] = row["theta_quadratic"] - row["theta_linear"]
+    fields = ["kappa", "theta_quadratic", "theta_linear", "foc_residual_quadratic",
+              "foc_residual_linear", "theta_gap"]
     config = {"n": n, "rho": rho, "kappas": list(kappas), "b_target": b_target}
-    files = [
-        write_table(
-            rows,
-            ["kappa", "theta_quadratic", "theta_linear", "foc_residual_quadratic",
-             "foc_residual_linear", "theta_gap"],
-            os.path.join(out_dir, "scale_bias"),
-            fmt,
-        )
-    ]
-    write_manifest(out_dir, "scale_bias", seed, config, files)
-    return {"rows": rows, "reports": reports, "converged": True, "files": files}
+    return _publish("scale_bias", out_dir, seed, fmt, config, [("scale_bias", rows, fields)],
+                    rows=rows, reports=reports, converged=True)
 
 
 def run_pu(
@@ -548,38 +500,30 @@ def run_pu(
     marginal ranks the unlabeled points; accuracy is measured against the
     generating labels across the rho validation grid.
     """
-    rows = []
-    ok = True
     r = n_unlabeled_pos / (n_unlabeled_pos + n_unlabeled_neg)
-    for fold in range(folds):
-        rng = np.random.default_rng([seed, fold])
-        pos = rng.normal(0.0, 0.3, size=(n_pos, 2))
-        upos = rng.normal(0.0, 0.3, size=(n_unlabeled_pos, 2))
-        uneg = rng.normal(2.5, 0.3, size=(n_unlabeled_neg, 2))
-        unlabeled = np.vstack([upos, uneg])
-        truth = np.concatenate([np.ones(n_unlabeled_pos, int), -np.ones(n_unlabeled_neg, int)])
-        X = _cloud_space(pos, "positives")
-        Y = _cloud_space(unlabeled, "unlabeled")
-        for rho in rho_grid:
-            try:
-                cfg = UgwConfig(eps=eps, rho1=rho, rho2=rho, tol_pot=tol_pot,
-                                max_outer=max_outer)
-                sol = solve_ugw(X, Y, cfg)
-                labels = pu_predict(sol.pi, r)
-                acc = float(np.mean(labels == truth))
-                rows.append({"fold": fold, "rho": rho, "accuracy": acc,
-                             "converged": sol.converged, "error": ""})
-                ok = ok and sol.converged
-            except Exception as exc:
-                rows.append({"fold": fold, "rho": rho, "accuracy": "", "converged": False,
-                             "error": str(exc)})
-                ok = False
+    truth = np.concatenate([np.ones(n_unlabeled_pos, int), -np.ones(n_unlabeled_neg, int)])
+
+    def cases():
+        for fold in range(folds):
+            rng = np.random.default_rng([seed, fold])
+            pos = rng.normal(0.0, 0.3, size=(n_pos, 2))
+            upos = rng.normal(0.0, 0.3, size=(n_unlabeled_pos, 2))
+            uneg = rng.normal(2.5, 0.3, size=(n_unlabeled_neg, 2))
+            X = _cloud_space(pos, "positives")
+            Y = _cloud_space(np.vstack([upos, uneg]), "unlabeled")
+            for rho in rho_grid:
+                yield {"fold": fold, "rho": rho}, X, Y, rho
+
+    def solve(X, Y, rho):
+        cfg = UgwConfig(eps=eps, rho1=rho, rho2=rho, tol_pot=tol_pot, max_outer=max_outer)
+        sol = solve_ugw(X, Y, cfg)
+        labels = pu_predict(sol.pi, r)
+        return {"accuracy": float(np.mean(labels == truth)), "converged": sol.converged}
+
+    fields = ["fold", "rho", "accuracy", "converged", "error"]
+    rows, ok = _sweep(fields, cases(), solve)
     config = {"folds": folds, "n_pos": n_pos, "n_unlabeled_pos": n_unlabeled_pos,
               "n_unlabeled_neg": n_unlabeled_neg, "eps": eps, "rho_grid": list(rho_grid),
               "tol_pot": tol_pot, "max_outer": max_outer, "positive_ratio": r}
-    files = [
-        write_table(rows, ["fold", "rho", "accuracy", "converged", "error"],
-                    os.path.join(out_dir, "pu"), fmt)
-    ]
-    write_manifest(out_dir, "pu", seed, config, files)
-    return {"rows": rows, "converged": ok, "files": files}
+    return _publish("pu", out_dir, seed, fmt, config, [("pu", rows, fields)],
+                    rows=rows, converged=ok)

@@ -2,15 +2,22 @@
 
 Subcommands cover the individual solvers (uot, ugw, gw, flb, cgw, scale),
 dataset generation (gen), and the experiment drivers (ratio-hist, perturb,
-moons, graph-match, scale-bias, pu). Global flags: --seed, --out, --format,
---config. A config file holds key=value lines mirroring the flag names
-(dashes or underscores); explicit flags win over the file. The process exits
-0 only if every solve it ran converged.
+moons, graph-match, scale-bias, pu). A driver's flags are the keyword
+parameters of its ``app.run_*`` function, dashes for underscores, parsed to
+the type of the parameter's default; an unset flag leaves that default in
+place. Global flags: --seed, --out, --format, --config. A config file holds
+key=value lines mirroring the flag names (dashes or underscores); explicit
+flags win over the file. The process exits 0 only if every solve it ran
+converged, 1 otherwise, and 2 with a one-line message on bad input (an
+unreadable file or value, or parameters a solver rejects). Drivers record a
+failing trial in its row and go on.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import inspect
 import json
 import math
 import os
@@ -24,9 +31,12 @@ from .flb import solve_flb
 from .measures import MmSpace
 from .scaling import scaling_bias_report
 from .sinkhorn import uot_sinkhorn
-from .ugw import UgwConfig, debiased_ugw, solve_ugw, tightness_diagnostics
+from .ugw import UgwConfig, debiased_ugw, solve_ugw
 
 __all__ = ["main"]
+
+# the keys of tightness_diagnostics, which solve_ugw merges into its diagnostics
+_TIGHTNESS = ("F_pi_gamma", "F_pi_pi", "F_gamma_gamma", "plan_gap", "mass_pi", "mass_gamma")
 
 
 def _to_float(tok):
@@ -36,16 +46,26 @@ def _to_float(tok):
     return float(tok)
 
 
-def _float_list(value):
-    if isinstance(value, (list, tuple)):
-        return [_to_float(v) for v in value]
-    if isinstance(value, (int, float)):
-        return [float(value)]
-    return [_to_float(tok) for tok in str(value).split(",") if tok.strip()]
+def _coerce(value, default):
+    """A flag or config value parsed to the type of the default it replaces.
 
-
-def _int_list(value):
-    return [int(v) for v in _float_list(value)]
+    An int default gives int, a float default float (inf accepted). A tuple
+    default gives a list, from a comma-separated string or a single number:
+    of ints when every element of the default is an int, else of floats.
+    Any other default (None, a string, a switch) takes the value as it is.
+    """
+    if isinstance(default, tuple):
+        if isinstance(value, (list, tuple)):
+            items = value
+        elif isinstance(value, (int, float)):
+            items = [value]
+        else:
+            items = [tok for tok in str(value).split(",") if tok.strip()]
+        floats = [_to_float(v) for v in items]
+        return [int(v) for v in floats] if all(isinstance(d, int) for d in default) else floats
+    if isinstance(default, bool) or not isinstance(default, (int, float)):
+        return value
+    return int(value) if isinstance(default, int) else _to_float(value)
 
 
 class _Opts:
@@ -56,17 +76,21 @@ class _Opts:
         self.config = config
 
     def get(self, key, default=None):
+        """The value of ``key`` parsed to the type of ``default``; default when unset."""
         value = getattr(self.ns, key, None)
         if value is None:
             value = self.config.get(key, None)
-        return default if value is None else value
+        if value is None:
+            return default
+        try:
+            return _coerce(value, default)
+        except (ValueError, OverflowError):
+            _fail(f"bad value for --{key.replace('_', '-')}: {value!r}")
 
-    def num(self, key, default=None):
-        value = self.get(key, default)
-        return value if value is None else _to_float(value)
-
-    def floats(self, key, default):
-        return _float_list(self.get(key, default))
+    def given(self, defaults):
+        """The keys of ``defaults`` that are set, each parsed to its default's type."""
+        return {key: self.get(key, default) for key, default in defaults.items()
+                if self.get(key) is not None}
 
     def require(self, key):
         value = self.get(key)
@@ -80,7 +104,7 @@ def _fail(message):
     raise SystemExit(2)
 
 
-def _load_space(opts, key, label):
+def _load_space(opts, key):
     path = opts.require(key)
     weights = opts.get(f"{key}_weights")
     try:
@@ -88,8 +112,12 @@ def _load_space(opts, key, label):
     except (OSError, ValueError) as exc:
         _fail(f"cannot load space from {path}: {exc}")
     if X.label is None:
-        return MmSpace(X.dist, X.weights, label)
+        return MmSpace(X.dist, X.weights, key)
     return X
+
+
+def _load_pair(opts):
+    return _load_space(opts, "x"), _load_space(opts, "y")
 
 
 def _write_json(payload, path):
@@ -104,13 +132,9 @@ def _write_json(payload, path):
 
 def cmd_gen(opts, out_dir, seed, fmt):
     kind = opts.require("kind")
-    n = int(opts.get("n", 50))
-    extra = {}
-    for key in ("n_outliers", "noise"):
-        value = opts.get(key)
-        if value is not None:
-            extra[key] = int(value) if key == "n_outliers" else float(value)
-    shape = geometry.gen_shape(kind, n, seed, **extra)
+    # the values only give the types; gen_shape keeps its own defaults
+    extra = opts.given({"n_outliers": 0, "noise": 0.0})
+    shape = geometry.gen_shape(kind, opts.get("n", 50), seed, **extra)
     if isinstance(shape, geometry.WeightedGraph):
         path = os.path.join(out_dir, f"gen_{kind}.json")
         _write_json(
@@ -134,13 +158,12 @@ def cmd_uot(opts, out_dir, seed, fmt):
     cost = app.load_matrix(opts.require("cost"))
     mu = app.load_weights(opts.require("mu"))
     nu = app.load_weights(opts.require("nu"))
-    rho1 = opts.num("rho", 1.0)
-    rho2 = opts.num("rho2", rho1)
+    rho1 = opts.get("rho", 1.0)
     res = uot_sinkhorn(
-        cost, mu, nu, rho1, rho2,
-        eps=opts.num("eps", 1e-2),
-        tol_pot=opts.num("tol_pot", 1e-6),
-        max_inner=int(opts.get("max_inner", 3000)),
+        cost, mu, nu, rho1, opts.get("rho2", rho1),
+        eps=opts.get("eps", 1e-2),
+        tol_pot=opts.get("tol_pot", 1e-6),
+        max_inner=opts.get("max_inner", 3000),
     )
     app.save_plan(res.plan, os.path.join(out_dir, "uot_plan.csv"))
     summary = {
@@ -156,26 +179,24 @@ def cmd_uot(opts, out_dir, seed, fmt):
     return res.converged
 
 
-def _run_quadratic(opts, out_dir, seed, name, balanced):
-    X = _load_space(opts, "x", "x")
-    Y = _load_space(opts, "y", "y")
+def _run_quadratic(opts, out_dir, name, balanced):
+    X, Y = _load_pair(opts)
     if balanced:
         rho1 = rho2 = math.inf
         if abs(X.mass - Y.mass) > 1e-9 * (1.0 + X.mass):
             print("warning: balanced mode with unequal total masses will not converge",
                   file=sys.stderr)
     else:
-        rho1 = opts.num("rho", 1.0)
-        rho2 = opts.num("rho2", rho1)
+        rho1 = opts.get("rho", 1.0)
+        rho2 = opts.get("rho2", rho1)
     cfg = UgwConfig(
-        eps=opts.num("eps", 1e-2),
+        eps=opts.get("eps", 1e-2),
         rho1=rho1,
         rho2=rho2,
-        max_outer=int(opts.get("max_outer", 3000)),
-        max_inner=int(opts.get("max_inner", 3000)),
-        tol_plan=opts.num("tol_plan", 1e-5),
-        tol_pot=opts.num("tol_pot", 1e-9),
-        seed=seed,
+        max_outer=opts.get("max_outer", 3000),
+        max_inner=opts.get("max_inner", 3000),
+        tol_plan=opts.get("tol_plan", 1e-5),
+        tol_pot=opts.get("tol_pot", 1e-9),
     )
     init_plan = None
     if opts.get("init", "product") == "flb":
@@ -188,10 +209,10 @@ def _run_quadratic(opts, out_dir, seed, name, balanced):
         "mass_pi": sol.pi.mass,
         "iterations": sol.outer_iterations,
         "converged": sol.converged,
-        "tightness": tightness_diagnostics(X, Y, sol, cfg),
+        "tightness": {key: sol.diagnostics[key] for key in _TIGHTNESS},
     }
     if opts.get("debias", False):
-        deb = debiased_ugw(X, Y, cfg, init_plan=init_plan)
+        deb = debiased_ugw(X, Y, cfg, cross=sol)
         summary["debiased"] = {
             "value": deb.value,
             "converged": deb.converged,
@@ -208,23 +229,21 @@ def _run_quadratic(opts, out_dir, seed, name, balanced):
 
 
 def cmd_ugw(opts, out_dir, seed, fmt):
-    return _run_quadratic(opts, out_dir, seed, "ugw", balanced=False)
+    return _run_quadratic(opts, out_dir, "ugw", balanced=False)
 
 
 def cmd_gw(opts, out_dir, seed, fmt):
-    return _run_quadratic(opts, out_dir, seed, "gw", balanced=True)
+    return _run_quadratic(opts, out_dir, "gw", balanced=True)
 
 
 def cmd_flb(opts, out_dir, seed, fmt):
-    X = _load_space(opts, "x", "x")
-    Y = _load_space(opts, "y", "y")
-    rho1 = opts.num("rho", 1.0)
-    rho2 = opts.num("rho2", rho1)
+    X, Y = _load_pair(opts)
+    rho1 = opts.get("rho", 1.0)
     res = solve_flb(
-        X, Y, (rho1, rho2),
-        eps=opts.num("eps", 1e-2),
-        tol_pot=opts.num("tol_pot", 1e-6),
-        max_inner=int(opts.get("max_inner", 3000)),
+        X, Y, (rho1, opts.get("rho2", rho1)),
+        eps=opts.get("eps", 1e-2),
+        tol_pot=opts.get("tol_pot", 1e-6),
+        max_inner=opts.get("max_inner", 3000),
     )
     app.save_plan(res.plan, os.path.join(out_dir, "flb_plan.csv"))
     summary = {
@@ -239,129 +258,75 @@ def cmd_flb(opts, out_dir, seed, fmt):
 
 
 def cmd_cgw(opts, out_dir, seed, fmt):
-    X = _load_space(opts, "x", "x")
-    Y = _load_space(opts, "y", "y")
-    rho = opts.num("rho", 1.0)
-    res = solve_cgw(
-        X, Y, ConeMetricSpec("gh", rho=rho),
-        K=int(opts.get("grid_k", 10)),
-        L=int(opts.get("grid_l", 10)),
-        restarts=int(opts.get("restarts", 20)),
-        seed=seed,
-    )
-    ok = True
+    X, Y = _load_pair(opts)
+    rho = opts.get("rho", 1.0)
+    grid = dict(K=opts.get("grid_k", 10), L=opts.get("grid_l", 10),
+                restarts=opts.get("restarts", 20), seed=seed)
+    with_ugw = opts.get("with_ugw", False)
+    if with_ugw:
+        cfg = UgwConfig(eps=opts.get("eps", 1e-2), rho1=rho, rho2=rho,
+                        tol_pot=opts.get("tol_pot", 1e-11))
+        ratio, sol, res = app.cgw_ugw_ratio(X, Y, rho, cfg.eps, cfg=cfg, **grid)
+    else:
+        res = solve_cgw(X, Y, ConeMetricSpec("gh", rho=rho), **grid)
     summary = {
         "cost": res.cost,
         "restart_costs": [entry["cost"] for entry in res.restart_log],
     }
-    if opts.get("with_ugw", False):
-        cfg = UgwConfig(eps=opts.num("eps", 1e-2), rho1=rho, rho2=rho,
-                        tol_pot=opts.num("tol_pot", 1e-11), seed=seed)
-        sol = solve_ugw(X, Y, cfg)
-        ok = sol.converged
-        denom = sol.primal_unregularized
-        if abs(res.cost) < app.RATIO_FLOOR and abs(denom) < app.RATIO_FLOOR:
-            summary["ratio_vs_ugw"] = 1.0
-        else:
-            summary["ratio_vs_ugw"] = res.cost / max(denom, app.RATIO_FLOOR)
-        summary["ugw_primal"] = denom
+    if with_ugw:
+        summary["ratio_vs_ugw"] = ratio
+        summary["ugw_primal"] = sol.primal_unregularized
     app.save_atoms(res.alpha.to_atoms(), os.path.join(out_dir, "cgw_plan.csv"))
     _write_json(summary, os.path.join(out_dir, "cgw_summary.json"))
     print(f"cgw: cost={res.cost:.6g} restarts={len(res.restart_log)}")
-    return ok
+    return sol.converged if with_ugw else True
 
 
 def cmd_scale(opts, out_dir, seed, fmt):
-    X = _load_space(opts, "x", "x")
-    Y = _load_space(opts, "y", "y")
-    rho = opts.num("rho", 1.0)
-    kappas = opts.floats("kappas", (0.25, 0.5, 1.0, 2.0, 4.0))
+    X, Y = _load_pair(opts)
     pi = np.outer(X.weights, Y.weights)
-    reports = scaling_bias_report(X, Y, pi, rho, kappas)
-    rows = [
-        {
-            "kappa": r.kappa,
-            "theta_quadratic": r.theta_quadratic,
-            "theta_linear": r.theta_linear,
-            "foc_residual_quadratic": r.foc_residual_quadratic,
-            "foc_residual_linear": r.foc_residual_linear,
-        }
-        for r in reports
-    ]
-    path = app.write_table(
-        rows,
-        ["kappa", "theta_quadratic", "theta_linear", "foc_residual_quadratic",
-         "foc_residual_linear"],
-        os.path.join(out_dir, "scale"),
-        fmt,
-    )
+    reports = scaling_bias_report(X, Y, pi, opts.get("rho", 1.0),
+                                  opts.get("kappas", (0.25, 0.5, 1.0, 2.0, 4.0)))
+    fields = ["kappa", "theta_quadratic", "theta_linear", "foc_residual_quadratic",
+              "foc_residual_linear"]
+    rows = [{key: getattr(r, key) for key in fields} for r in reports]
+    path = app.write_table(rows, fields, os.path.join(out_dir, "scale"), fmt)
     print(f"wrote {path}")
     return True
 
 
-def _driver(run, int_keys=(), float_keys=(), list_keys=(), int_list_keys=()):
-    def handler(opts, out_dir, seed, fmt):
-        kwargs = {}
-        for key in int_keys:
-            value = opts.get(key)
-            if value is not None:
-                kwargs[key] = int(value)
-        for key in float_keys:
-            value = opts.get(key)
-            if value is not None:
-                kwargs[key] = _to_float(value)
-        for key in list_keys:
-            value = opts.get(key)
-            if value is not None:
-                kwargs[key] = _float_list(value)
-        for key in int_list_keys:
-            value = opts.get(key)
-            if value is not None:
-                kwargs[key] = _int_list(value)
-        result = run(out_dir=out_dir, seed=seed, fmt=fmt, **kwargs)
-        for f in result["files"]:
-            print(f"wrote {f}")
-        return result["converged"]
-
-    return handler
+# ---------------------------------------------------------------------------
+# Experiment drivers: subcommand name -> app.run_* function
 
 
-cmd_perturb = _driver(
-    app.run_perturb,
-    int_keys=("n", "grid_k", "grid_l", "restarts"),
-    float_keys=("rho", "eps"),
-    list_keys=("ts",),
-)
-cmd_ratio_hist = _driver(
-    app.run_ratio_hist,
-    int_keys=("trials", "grid_k", "grid_l", "restarts"),
-    float_keys=("rho", "eps"),
-    int_list_keys=("ns",),
-)
-cmd_moons = _driver(
-    app.run_moons,
-    int_keys=("n", "n_outliers", "max_outer"),
-    float_keys=("eps",),
-    list_keys=("rhos",),
-    int_list_keys=("seeds",),
-)
-cmd_graph_match = _driver(
-    app.run_graph_match,
-    int_keys=("n", "n_outliers", "max_outer"),
-    list_keys=("eps_grid", "rho_grid"),
-)
-cmd_scale_bias = _driver(
-    app.run_scale_bias,
-    int_keys=("n",),
-    float_keys=("rho", "b_target"),
-    list_keys=("kappas",),
-)
-cmd_pu = _driver(
-    app.run_pu,
-    int_keys=("folds", "n_pos", "n_unlabeled_pos", "n_unlabeled_neg", "max_outer"),
-    float_keys=("eps",),
-    list_keys=("rho_grid",),
-)
+_DRIVERS = {
+    "ratio-hist": app.run_ratio_hist,
+    "perturb": app.run_perturb,
+    "moons": app.run_moons,
+    "graph-match": app.run_graph_match,
+    "scale-bias": app.run_scale_bias,
+    "pu": app.run_pu,
+}
+
+
+def _driver_defaults(run):
+    """The driver's keyword parameters and defaults, bar the global ones."""
+    return {key: param.default for key, param in inspect.signature(run).parameters.items()
+            if key not in ("out_dir", "seed", "fmt")}
+
+
+def _run_driver(run, opts, out_dir, seed, fmt):
+    result = run(out_dir=out_dir, seed=seed, fmt=fmt, **opts.given(_driver_defaults(run)))
+    for f in result["files"]:
+        print(f"wrote {f}")
+    return result["converged"]
+
+
+def _flag_help(default):
+    if not isinstance(default, tuple):
+        return f"default {default}"
+    shown = ",".join(str(v) for v in default)
+    return f"comma-separated list (default {shown})" if shown else "comma-separated list"
 
 
 # ---------------------------------------------------------------------------
@@ -383,13 +348,18 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=f"ugwkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def solver_flags(p, tol=True):
+    def solver_flags(p):
         p.add_argument("--rho", default=None, help="marginal penalty (inf for balanced)")
         p.add_argument("--rho2", default=None, help="second-marginal penalty (default rho)")
         p.add_argument("--eps", default=None, help="entropic strength")
-        if tol:
-            p.add_argument("--tol-pot", default=None, help="potential stopping tolerance")
-            p.add_argument("--max-inner", default=None, help="inner iteration cap")
+        p.add_argument("--tol-pot", default=None, help="potential stopping tolerance")
+        p.add_argument("--max-inner", default=None, help="inner iteration cap")
+
+    def space_flags(p):
+        p.add_argument("--x", default=None, help="first space (.json, or matrix CSV)")
+        p.add_argument("--y", default=None, help="second space")
+        p.add_argument("--x-weights", default=None, help="weights file for a CSV space")
+        p.add_argument("--y-weights", default=None)
 
     p = sub.add_parser("gen", parents=[common], help="sample a synthetic shape or graph")
     p.add_argument("--kind", choices=geometry.SHAPE_KINDS, default=None)
@@ -406,10 +376,7 @@ def _build_parser():
     for name, help_text in (("ugw", "unbalanced quadratic matching"),
                             ("gw", "balanced quadratic matching (rho = inf)")):
         p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("--x", default=None, help="first space (.json, or matrix CSV)")
-        p.add_argument("--y", default=None, help="second space")
-        p.add_argument("--x-weights", default=None, help="weights file for a CSV space")
-        p.add_argument("--y-weights", default=None)
+        space_flags(p)
         if name == "ugw":
             p.add_argument("--rho", default=None)
             p.add_argument("--rho2", default=None)
@@ -421,21 +388,15 @@ def _build_parser():
         p.add_argument("--init", choices=("product", "flb"), default=None,
                        help="initial plan (default product)")
         p.add_argument("--debias", action="store_const", const=True, default=None,
-                       help="also report the debiased cost (three solves)")
+                       help="also report the debiased cost (two more solves)")
 
     p = sub.add_parser("flb", parents=[common],
                        help="eccentricity-profile lower-bound matching")
-    p.add_argument("--x", default=None)
-    p.add_argument("--y", default=None)
-    p.add_argument("--x-weights", default=None)
-    p.add_argument("--y-weights", default=None)
+    space_flags(p)
     solver_flags(p)
 
     p = sub.add_parser("cgw", parents=[common], help="conic grid matching")
-    p.add_argument("--x", default=None)
-    p.add_argument("--y", default=None)
-    p.add_argument("--x-weights", default=None)
-    p.add_argument("--y-weights", default=None)
+    space_flags(p)
     p.add_argument("--rho", default=None)
     p.add_argument("--grid-k", default=None)
     p.add_argument("--grid-l", default=None)
@@ -446,66 +407,15 @@ def _build_parser():
     p.add_argument("--tol-pot", default=None, help="potential tolerance for --with-ugw")
 
     p = sub.add_parser("scale", parents=[common], help="optimal-scale comparison table")
-    p.add_argument("--x", default=None)
-    p.add_argument("--y", default=None)
-    p.add_argument("--x-weights", default=None)
-    p.add_argument("--y-weights", default=None)
+    space_flags(p)
     p.add_argument("--rho", default=None)
     p.add_argument("--kappas", default=None, help="comma-separated mass multipliers")
 
-    p = sub.add_parser("ratio-hist", parents=[common],
-                       help="histogram of conic/quadratic cost ratios")
-    p.add_argument("--ns", default=None, help="comma-separated sizes")
-    p.add_argument("--trials", default=None)
-    p.add_argument("--rho", default=None)
-    p.add_argument("--eps", default=None)
-    p.add_argument("--grid-k", default=None)
-    p.add_argument("--grid-l", default=None)
-    p.add_argument("--restarts", default=None)
-
-    p = sub.add_parser("perturb", parents=[common],
-                       help="cost ratio along a drift of the second space")
-    p.add_argument("--n", default=None)
-    p.add_argument("--ts", default=None, help="comma-separated drift magnitudes")
-    p.add_argument("--rho", default=None)
-    p.add_argument("--eps", default=None)
-    p.add_argument("--grid-k", default=None)
-    p.add_argument("--grid-l", default=None)
-    p.add_argument("--restarts", default=None)
-
-    p = sub.add_parser("moons", parents=[common],
-                       help="outlier mass across the marginal-penalty grid")
-    p.add_argument("--n", default=None)
-    p.add_argument("--n-outliers", default=None)
-    p.add_argument("--rhos", default=None)
-    p.add_argument("--eps", default=None)
-    p.add_argument("--seeds", default=None, help="comma-separated seeds")
-    p.add_argument("--max-outer", default=None)
-
-    p = sub.add_parser("graph-match", parents=[common],
-                       help="community-graph plans over the (eps, rho) grid")
-    p.add_argument("--n", default=None)
-    p.add_argument("--n-outliers", default=None)
-    p.add_argument("--eps-grid", default=None)
-    p.add_argument("--rho-grid", default=None, help="comma list; inf allowed")
-    p.add_argument("--max-outer", default=None)
-
-    p = sub.add_parser("scale-bias", parents=[common],
-                       help="optimal-scale bias table on a synthetic instance")
-    p.add_argument("--n", default=None)
-    p.add_argument("--rho", default=None)
-    p.add_argument("--kappas", default=None)
-    p.add_argument("--b-target", default=None)
-
-    p = sub.add_parser("pu", parents=[common],
-                       help="positive-unlabeled pipeline on synthetic folds")
-    p.add_argument("--folds", default=None)
-    p.add_argument("--n-pos", default=None)
-    p.add_argument("--n-unlabeled-pos", default=None)
-    p.add_argument("--n-unlabeled-neg", default=None)
-    p.add_argument("--eps", default=None)
-    p.add_argument("--rho-grid", default=None)
-    p.add_argument("--max-outer", default=None)
+    for name, run in _DRIVERS.items():
+        summary = " ".join(inspect.getdoc(run).split("\n\n")[0].split()).rstrip(".")
+        p = sub.add_parser(name, parents=[common], help=summary)
+        for key, default in _driver_defaults(run).items():
+            p.add_argument("--" + key.replace("_", "-"), default=None, help=_flag_help(default))
 
     return parser
 
@@ -518,12 +428,7 @@ _HANDLERS = {
     "flb": cmd_flb,
     "cgw": cmd_cgw,
     "scale": cmd_scale,
-    "ratio-hist": cmd_ratio_hist,
-    "perturb": cmd_perturb,
-    "moons": cmd_moons,
-    "graph-match": cmd_graph_match,
-    "scale-bias": cmd_scale_bias,
-    "pu": cmd_pu,
+    **{name: functools.partial(_run_driver, run) for name, run in _DRIVERS.items()},
 }
 
 
@@ -537,11 +442,14 @@ def main(argv=None):
         except (OSError, ValueError) as exc:
             _fail(str(exc))
     opts = _Opts(ns, config)
-    seed = int(opts.get("seed", 0))
+    seed = opts.get("seed", 0)
     out_dir = str(opts.get("out", "."))
     fmt = str(opts.get("format", "csv"))
     os.makedirs(out_dir, exist_ok=True)
-    ok = _HANDLERS[ns.command](opts, out_dir, seed, fmt)
+    try:
+        ok = _HANDLERS[ns.command](opts, out_dir, seed, fmt)
+    except (ValueError, FloatingPointError) as exc:
+        _fail(str(exc))
     return 0 if ok else 1
 
 

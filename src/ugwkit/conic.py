@@ -28,16 +28,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lp import LpProblem, solve_lp
-from .measures import EntropySpec, TransportPlan
+from .measures import EntropySpec, plan_values
 
 __all__ = [
     "ConeMetricSpec",
-    "ConePoint",
     "ConicPlan",
     "CgwResult",
     "perspective_H",
     "cone_cost",
-    "cone_dist",
     "dilate",
     "conic_lift",
     "conic_energy",
@@ -65,18 +63,11 @@ _ALIASES = {
 
 @dataclass(frozen=True)
 class ConeMetricSpec:
-    """Cone distance setting: divergence, base-distance map, exponents.
-
-    ``gh_literal`` switches the Gaussian-Hellinger exponent from the
-    quadratic base map exp(-d^2/(2 rho)) to the plain exp(-d/(2 rho)); both
-    variants agree at rho = 1 only on d in {0, 1}. The quadratic map is the
-    one used by the matching solver.
-    """
+    """Cone distance setting: divergence, base-distance map, exponents."""
 
     setting: str = "gh"
     rho: float = 1.0
     q: float = 2.0
-    gh_literal: bool = False
 
     def __post_init__(self):
         key = _ALIASES.get(self.setting.lower(), self.setting.lower())
@@ -99,31 +90,10 @@ class ConeMetricSpec:
         return EntropySpec(_SETTINGS[self.setting][0], self.rho)
 
 
-@dataclass(frozen=True)
-class ConePoint:
-    """Base reference (index or base-space value) plus a radius."""
-
-    base: float
-    r: float
-
-    def __post_init__(self):
-        if not self.r >= 0:
-            raise ValueError("radius must be nonnegative")
-
-    def __eq__(self, other):
-        if not isinstance(other, ConePoint):
-            return NotImplemented
-        if self.r == 0 and other.r == 0:
-            return True  # every zero-radius point is the apex
-        return self.r == other.r and self.base == other.base
-
-
-def perspective_H(c, r, s, entropy, method="closed"):
+def perspective_H(c, r, s, entropy):
     """H_c(r, s), the perspective infimum over the joint scale theta.
 
-    method="closed" uses the KL/TV closed forms; method="grid" minimizes on
-    a log grid of theta with golden-section refinement (KL and TV only).
-    The balanced entropy forces theta = r = s.
+    Closed forms for KL and TV; the balanced entropy forces theta = r = s.
     """
     if not c >= 0:
         raise ValueError("c must be nonnegative")
@@ -134,58 +104,18 @@ def perspective_H(c, r, s, entropy, method="closed"):
         if r == s:
             return r * c
         return math.inf
-    if method == "closed":
-        if entropy.kind == "kl":
-            damp = math.exp(-c / (2.0 * rho)) if math.isfinite(c) else 0.0
-            return rho * (r + s - 2.0 * math.sqrt(r * s) * damp)
-        # tv
-        return rho * (r + s - min(r, s) * max(0.0, 2.0 - c / rho))
-    if method != "grid":
-        raise ValueError("method must be 'closed' or 'grid'")
-
-    scale = max(r, s)
-    if scale == 0.0:
-        return 0.0
-
-    def objective(theta):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            val = theta * c + rho * theta * (
-                entropy.psi(r / theta) + entropy.psi(s / theta)
-            )
-        return float(val) if np.isfinite(val) else math.inf
-
-    best_val = rho * entropy.psi_recession * (r + s)  # theta -> 0 limit
-    thetas = scale * np.logspace(-9, 3, 1201)
-    vals = np.array([objective(t) for t in thetas])
-    i = int(np.argmin(vals))
-    if vals[i] < best_val:
-        best_val = vals[i]
-        lo = thetas[max(i - 1, 0)]
-        hi = thetas[min(i + 1, thetas.size - 1)]
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        x1 = b - invphi * (b - a)
-        x2 = a + invphi * (b - a)
-        f1, f2 = objective(x1), objective(x2)
-        for _ in range(120):
-            if f1 <= f2:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - invphi * (b - a)
-                f1 = objective(x1)
-            else:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + invphi * (b - a)
-                f2 = objective(x2)
-        best_val = min(best_val, f1, f2)
-    return best_val
+    if entropy.kind == "kl":
+        damp = math.exp(-c / (2.0 * rho)) if math.isfinite(c) else 0.0
+        return rho * (r + s - 2.0 * math.sqrt(r * s) * damp)
+    # tv
+    return rho * (r + s - min(r, s) * max(0.0, 2.0 - c / rho))
 
 
 def _kernel(spec, base):
     """The multiplicative damping exp(-lambda(base)/(2 rho)) of KL settings."""
     base = np.asarray(base, dtype=float)
     if spec.setting == "gh":
-        lam = base if spec.gh_literal else base * base
-        return np.exp(-lam / (2.0 * spec.rho))
+        return np.exp(-base * base / (2.0 * spec.rho))
     if spec.setting == "hk":
         return np.cos(np.minimum(base, math.pi / 2.0)) ** (1.0 / spec.rho)
     raise ValueError("no exponential kernel for the TV setting")
@@ -207,11 +137,6 @@ def cone_cost(spec, base, r, s):
         hinge = np.clip(2.0 - base**spec.q / rho, 0.0, None)
         out = rho * (r + s - np.minimum(r, s) * hinge)
     return np.maximum(out, 0.0)
-
-
-def cone_dist(spec, a, b, base_distance):
-    """D_Co(a, b)^q for two ConePoints at the given base distance."""
-    return float(cone_cost(spec, base_distance, a.r, b.r))
 
 
 @dataclass
@@ -302,7 +227,7 @@ def conic_lift(pi, X, Y, p=2.0):
     weight to unit-radius atoms paired with the opposite apex. The result
     satisfies the radial moment constraints U_p exactly.
     """
-    P = pi.values if isinstance(pi, TransportPlan) else np.asarray(pi, dtype=float)
+    P = plan_values(pi)
     mu, nu = X.weights, Y.weights
     if P.shape != (X.n, Y.n):
         raise ValueError("plan shape does not match the spaces")

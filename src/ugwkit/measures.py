@@ -36,7 +36,6 @@ __all__ = [
     "quad_kl",
     "tensor_kl",
     "kl_div",
-    "marginals",
 ]
 
 # sup-norm tolerance under which the Balanced indicator accepts a == b;
@@ -133,17 +132,28 @@ class TransportPlan:
     def shape(self):
         return self.values.shape
 
-    def scaled(self, factor):
-        return TransportPlan(self.values * float(factor))
-
     def __repr__(self):
         return f"TransportPlan(shape={self.values.shape}, mass={self.mass:.6g})"
 
 
-def marginals(plan):
-    """Recompute (row marginal, column marginal, mass) of a plan."""
-    v = plan.values if isinstance(plan, TransportPlan) else np.asarray(plan, dtype=float)
-    return v.sum(axis=1), v.sum(axis=0), float(v.sum())
+def plan_values(plan):
+    """The matrix of a TransportPlan, or an array-like as a float array."""
+    if isinstance(plan, TransportPlan):
+        return plan.values
+    return np.asarray(plan, dtype=float)
+
+
+def xlogy_sum(a, b):
+    """sum a log(a/b) over a > 0 (0 log 0 = 0); b > 0 wherever a > 0."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    mask = a > 0
+    return float(np.sum(a[mask] * np.log(a[mask] / b[mask])))
+
+
+def balanced_indicator(a, b):
+    """The Balanced divergence: 0 when a == b to BALANCED_ATOL in sup-norm, else +inf."""
+    return 0.0 if float(np.max(np.abs(a - b), initial=0.0)) <= BALANCED_ATOL else math.inf
 
 
 @dataclass(frozen=True)
@@ -225,7 +235,7 @@ def csiszar_div(a, b, entropy):
         raise ValueError("length mismatch")
 
     if entropy.kind == "balanced":
-        return 0.0 if float(np.max(np.abs(a - b), initial=0.0)) <= BALANCED_ATOL else math.inf
+        return balanced_indicator(a, b)
 
     pos = b > 0
     singular = float(a[~pos].sum())
@@ -234,8 +244,7 @@ def csiszar_div(a, b, entropy):
         if singular > 0:
             return math.inf
         ap, bp = a[pos], b[pos]
-        nz = ap > 0
-        val = float(np.sum(ap[nz] * np.log(ap[nz] / bp[nz]))) - float(ap.sum()) + float(bp.sum())
+        val = xlogy_sum(ap, bp) - float(ap.sum()) + float(bp.sum())
         return entropy.rho * val
 
     # TV: phi'_inf = 1

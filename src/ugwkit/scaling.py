@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import MmSpace, TransportPlan, quad_kl
+from .measures import MmSpace, plan_values, quad_kl, xlogy_sum
 from .ugw import distortion_cost
 
 __all__ = [
@@ -61,19 +61,6 @@ def lambert_w(z, tol=1e-15, max_iter=64):
     return w
 
 
-def _plan_values(pi):
-    if isinstance(pi, TransportPlan):
-        return pi.values
-    return np.asarray(pi, dtype=float)
-
-
-def _xlogy_ratio(a, b):
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    mask = a > 0
-    return float(np.sum(a[mask] * np.log(a[mask] / b[mask])))
-
-
 def _golden_min(f, lo, hi, iters=200):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -100,15 +87,15 @@ def _quad_profile(X, Y, pi, rho, eps):
     cancel), with the data entering through the distortion b and the
     relative-entropy sums of the marginals and the plan.
     """
-    P = _plan_values(pi)
+    P = plan_values(pi)
     mu, nu = X.weights, Y.weights
     m = float(P.sum())
     if not m > 0:
         raise ValueError("the plan must carry positive mass")
     b = distortion_cost(X.dist, Y.dist, P)
-    s1 = _xlogy_ratio(P.sum(axis=1), mu)
-    s2 = _xlogy_ratio(P.sum(axis=0), nu)
-    se = _xlogy_ratio(P, mu[:, None] * nu[None, :]) if eps > 0 else 0.0
+    s1 = xlogy_sum(P.sum(axis=1), mu)
+    s2 = xlogy_sum(P.sum(axis=0), nu)
+    se = xlogy_sum(P, mu[:, None] * nu[None, :]) if eps > 0 else 0.0
     B = 2.0 * m * m * (2.0 * rho + eps)
     A = b + 2.0 * m * (rho * s1 + rho * s2 + eps * se) - 0.5 * B
     return A, B, b
@@ -137,7 +124,7 @@ def optimal_scale_quadratic(X, Y, pi, rho, eps=0.0, details=False):
         raise ValueError("rho must be positive")
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    P = _plan_values(pi)
+    P = plan_values(pi)
     A, B, b = _quad_profile(X, Y, pi, rho, eps)
     log_closed = -(2.0 * A + B) / (2.0 * B)
     theta_closed = math.exp(log_closed)
@@ -162,7 +149,7 @@ def optimal_scale_quadratic(X, Y, pi, rho, eps=0.0, details=False):
 
 
 def _linear_foc_terms(X, Y, pi, rho):
-    P = _plan_values(pi)
+    P = plan_values(pi)
     m = float(P.sum())
     if not m > 0:
         raise ValueError("the plan must carry positive mass")
@@ -170,7 +157,7 @@ def _linear_foc_terms(X, Y, pi, rho):
     # the quadratic distortion is nonnegative; clip away roundoff so the
     # root finder keeps a monotone objective
     b = max(distortion_cost(X.dist, Y.dist, P), 0.0)
-    c = rho * (_xlogy_ratio(P.sum(axis=1), X.weights) + _xlogy_ratio(P.sum(axis=0), Y.weights))
+    c = rho * (xlogy_sum(P.sum(axis=1), X.weights) + xlogy_sum(P.sum(axis=0), Y.weights))
     return a, b, c
 
 

@@ -47,7 +47,7 @@ import numpy as np
 
 from .measures import TransportPlan
 
-__all__ = ["Potentials", "SinkhornResult", "logsumexp", "uot_sinkhorn", "plan_from_potentials"]
+__all__ = ["Potentials", "SinkhornResult", "uot_sinkhorn", "plan_from_potentials"]
 
 
 @dataclass(frozen=True)
@@ -63,21 +63,6 @@ class SinkhornResult:
     iterations: int
     converged: bool
     residual: float
-
-
-def logsumexp(a, axis):
-    """Max-shifted log-sum-exp reduction along ``axis``.
-
-    log(sum exp(a))  computed as  log(sum exp(a - max)) + max, so entries as
-    low as -1e9 cause no underflow issue. Rows that are entirely -inf reduce
-    to -inf without producing NaN.
-    """
-    a = np.asarray(a, dtype=float)
-    m = np.max(a, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
-    return out
 
 
 def _damping(rho, eps):

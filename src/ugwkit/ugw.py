@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import MmSpace, TransportPlan, quad_kl, tensor_kl, BALANCED_ATOL
+from .measures import TransportPlan, balanced_indicator, plan_values, quad_kl, tensor_kl, xlogy_sum
 from .sinkhorn import Potentials, uot_sinkhorn
 
 __all__ = [
@@ -60,7 +60,6 @@ class UgwConfig:
     max_inner: int = 3000
     tol_plan: float = 1e-5
     tol_pot: float = 1e-9
-    seed: int = 0
 
     def __post_init__(self):
         if self.rho2 is None:
@@ -102,12 +101,6 @@ class DebiasedResult:
     self_y: float
 
 
-def _plan_values(plan):
-    if isinstance(plan, TransportPlan):
-        return plan.values
-    return np.asarray(plan, dtype=float)
-
-
 def distortion_cost(DX, DY, pi, gamma=None):
     """sum_{ijkl} (DX_ij - DY_kl)^2 pi_ik gamma_jl via the 3-term expansion.
 
@@ -117,8 +110,8 @@ def distortion_cost(DX, DY, pi, gamma=None):
     """
     DX = np.asarray(DX, dtype=float)
     DY = np.asarray(DY, dtype=float)
-    p = _plan_values(pi)
-    g = p if gamma is None else _plan_values(gamma)
+    p = plan_values(pi)
+    g = p if gamma is None else plan_values(gamma)
     if p.shape != g.shape or DX.shape[0] != p.shape[0] or DY.shape[0] != p.shape[1]:
         raise ValueError("dimension mismatch between distances and plans")
     p1, p2 = p.sum(axis=1), p.sum(axis=0)
@@ -129,14 +122,6 @@ def distortion_cost(DX, DY, pi, gamma=None):
     return float(term_x + term_y - 2.0 * cross)
 
 
-def _xlogy_sum(a, b):
-    # sum a * log(a/b) with the 0 log 0 = 0 convention; a, b >= 0, b > 0 where a > 0
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    mask = a > 0
-    return float(np.sum(a[mask] * np.log(a[mask] / b[mask])))
-
-
 def local_cost(X, Y, gamma, cfg):
     """The n x m cost matrix c = A (+) B - 2C + E for a frozen plan gamma.
 
@@ -144,7 +129,7 @@ def local_cost(X, Y, gamma, cfg):
     pinned by the constraint and would only shift the cost by a constant the
     potentials absorb.
     """
-    g = _plan_values(gamma)
+    g = plan_values(gamma)
     mu, nu = X.weights, Y.weights
     if g.shape != (X.n, Y.n):
         raise ValueError("plan shape does not match the spaces")
@@ -152,20 +137,18 @@ def local_cost(X, Y, gamma, cfg):
     A = (X.dist * X.dist) @ g1
     B = (Y.dist * Y.dist) @ g2
     C = X.dist @ g @ Y.dist
-    E = cfg.eps * _xlogy_sum(g, mu[:, None] * nu[None, :])
+    E = cfg.eps * xlogy_sum(g, mu[:, None] * nu[None, :])
     if not cfg.balanced1:
-        E += cfg.rho1 * _xlogy_sum(g1, mu)
+        E += cfg.rho1 * xlogy_sum(g1, mu)
     if not cfg.balanced2:
-        E += cfg.rho2 * _xlogy_sum(g2, nu)
+        E += cfg.rho2 * xlogy_sum(g2, nu)
     return A[:, None] + B[None, :] - 2.0 * C + E
 
 
 def _quad_penalty(a, b, rho, *, strict_balanced=True):
     """rho * KLq(a|b); indicator semantics in the balanced limit rho = inf."""
     if math.isinf(rho):
-        if not strict_balanced:
-            return 0.0
-        return 0.0 if float(np.max(np.abs(a - b), initial=0.0)) <= BALANCED_ATOL else math.inf
+        return balanced_indicator(a, b) if strict_balanced else 0.0
     q = quad_kl(a, b)
     return rho * q if q > 0 else 0.0
 
@@ -177,7 +160,7 @@ def ugw_functional(X, Y, pi, cfg, *, strict_balanced=True):
     treated as 0; the solver uses this to report finite costs for plans that
     satisfy the constraint only to iteration tolerance.
     """
-    p = _plan_values(pi)
+    p = plan_values(pi)
     mu, nu = X.weights, Y.weights
     val = distortion_cost(X.dist, Y.dist, p)
     val_pen = _quad_penalty(p.sum(axis=1), mu, cfg.rho1, strict_balanced=strict_balanced)
@@ -190,21 +173,15 @@ def ugw_functional(X, Y, pi, cfg, *, strict_balanced=True):
 
 def _pair_penalty(a, b, ref, rho, *, strict_balanced=True):
     if math.isinf(rho):
-        if not strict_balanced:
-            return 0.0
-        ok = (
-            float(np.max(np.abs(a - ref), initial=0.0)) <= BALANCED_ATOL
-            and float(np.max(np.abs(b - ref), initial=0.0)) <= BALANCED_ATOL
-        )
-        return 0.0 if ok else math.inf
+        return balanced_indicator(a, ref) + balanced_indicator(b, ref) if strict_balanced else 0.0
     t = tensor_kl(a, b, ref, ref)
     return rho * t if not math.isinf(t) else math.inf
 
 
 def biconvex_functional(X, Y, pi, gamma, cfg, *, strict_balanced=True):
     """F_eps(pi, gamma): the two-plan relaxation; F(pi, pi) equals ugw_functional."""
-    p = _plan_values(pi)
-    g = _plan_values(gamma)
+    p = plan_values(pi)
+    g = plan_values(gamma)
     mu, nu = X.weights, Y.weights
     val = distortion_cost(X.dist, Y.dist, p, g)
     pen = _pair_penalty(p.sum(axis=1), g.sum(axis=1), mu, cfg.rho1, strict_balanced=strict_balanced)
@@ -242,21 +219,21 @@ def solve_ugw(X, Y, cfg, init_plan=None):
     to about 1e-2; with much smaller eps, tighten tol_pot (1e-11) when a
     certified tol_plan matters.
 
-    diagnostics["inner_capped"] counts the inner calls that hit max_inner;
-    diagnostics["inner_converged"] reports the last inner call only.
+    diagnostics["inner_capped"] counts the inner calls that hit max_inner.
+    ``converged`` requires the plan test to pass with no capped inner call
+    along the way.
     """
     mu, nu = X.weights, Y.weights
     if init_plan is None:
         gamma = mu[:, None] * nu[None, :] / math.sqrt(X.mass * Y.mass)
     else:
-        gamma = np.array(_plan_values(init_plan), dtype=float)
+        gamma = np.array(plan_values(init_plan), dtype=float)
         if gamma.shape != (X.n, Y.n):
             raise ValueError("init_plan shape does not match the spaces")
     f = np.zeros(X.n)
     g = np.zeros(Y.n)
 
     converged = False
-    inner_ok = True
     inner_capped = 0
     aborted = None
     pi = gamma
@@ -279,7 +256,6 @@ def solve_ugw(X, Y, cfg, init_plan=None):
             tol_pot=cfg.tol_pot,
             max_inner=cfg.max_inner,
         )
-        inner_ok = res.converged
         inner_capped += not res.converged
         f, g = res.potentials.f, res.potentials.g
         raw = res.plan.values
@@ -315,12 +291,8 @@ def solve_ugw(X, Y, cfg, init_plan=None):
         cost_primal=cost_primal,
         primal_unregularized=primal_unreg,
         outer_iterations=it,
-        converged=converged and inner_ok and aborted is None,
-        diagnostics={
-            "aborted": aborted,
-            "inner_converged": inner_ok,
-            "inner_capped": inner_capped,
-        },
+        converged=converged and inner_capped == 0 and aborted is None,
+        diagnostics={"aborted": aborted, "inner_capped": inner_capped},
     )
     sol.diagnostics.update(tightness_diagnostics(X, Y, sol, cfg))
     return sol
@@ -339,13 +311,15 @@ def tightness_diagnostics(X, Y, sol, cfg):
     }
 
 
-def debiased_ugw(X, Y, cfg, init_plan=None):
+def debiased_ugw(X, Y, cfg, init_plan=None, cross=None):
     """Debiased cost: cross - self_x/2 - self_y/2 + (eps/2)(m(mu)^2 - m(nu)^2)^2.
 
     All three runs share cfg (the self runs use the default initialization).
-    ``converged`` is False if any sub-run failed to converge.
+    ``cross`` reuses a finished solve_ugw(X, Y, cfg, init_plan) instead of
+    running it again. ``converged`` is False if any sub-run failed to converge.
     """
-    cross = solve_ugw(X, Y, cfg, init_plan=init_plan)
+    if cross is None:
+        cross = solve_ugw(X, Y, cfg, init_plan=init_plan)
     sx = solve_ugw(X, X, cfg)
     sy = solve_ugw(Y, Y, cfg)
     corr = 0.5 * cfg.eps * (X.mass**2 - Y.mass**2) ** 2

@@ -208,6 +208,53 @@ def hk_cone_cost(base, r, s, rho):
     return rho * (r * r + s * s - 2.0 * r * s * k)
 
 
+def perspective_H_grid(c, r, s, entropy):
+    """H_c(r, s) = inf_theta theta (c + rho psi(r/theta) + rho psi(s/theta)), searched.
+
+    psi is the reverse entropy, x - log x - 1 for KL and |1 - x| for TV; both
+    tend to 1 per unit of theta as theta -> 0, so rho (r + s) is the value at
+    the left end. A log grid of theta brackets the minimum and golden-section
+    steps refine it.
+    """
+    rho = entropy.rho
+
+    def psi(x):
+        if entropy.kind == "tv":
+            return abs(1.0 - x)
+        return x - math.log(x) - 1.0 if x > 0 else math.inf
+
+    def objective(theta):
+        try:
+            val = theta * c + rho * theta * (psi(r / theta) + psi(s / theta))
+        except OverflowError:
+            return math.inf
+        return val if math.isfinite(val) else math.inf
+
+    best_val = rho * (r + s)
+    scale = max(r, s)
+    if scale == 0.0:
+        return 0.0
+    thetas = scale * np.logspace(-9, 3, 1201)
+    vals = [objective(t) for t in thetas]
+    i = int(np.argmin(vals))
+    if vals[i] >= best_val:
+        return best_val
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = thetas[max(i - 1, 0)], thetas[min(i + 1, thetas.size - 1)]
+    x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
+    f1, f2 = objective(x1), objective(x2)
+    for _ in range(120):
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = objective(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = objective(x2)
+    return min(vals[i], f1, f2)
+
+
 def ptv_cone_cost(base, r, s, rho, q):
     """Cone cost of the TV setting with its hinge kernel."""
     hinge = max(0.0, 2.0 - base**q / rho)

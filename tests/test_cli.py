@@ -1,4 +1,7 @@
+import functools
+import importlib
 import json
+import math
 import os
 
 import numpy as np
@@ -80,17 +83,18 @@ class TestConfigMerge:
         assert exc.value.code == 2
 
 
-class TestUot:
-    def _inputs(self, tmp_path):
-        rng = np.random.default_rng(1)
-        cost = rng.uniform(0.0, 1.0, size=(3, 4))
-        np.savetxt(tmp_path / "cost.csv", cost, delimiter=",")
-        np.savetxt(tmp_path / "mu.txt", np.full(3, 0.4))
-        np.savetxt(tmp_path / "nu.txt", np.full(4, 0.3))
-        return str(tmp_path / "cost.csv"), str(tmp_path / "mu.txt"), str(tmp_path / "nu.txt")
+def _uot_files(tmp_path):
+    rng = np.random.default_rng(1)
+    cost = rng.uniform(0.0, 1.0, size=(3, 4))
+    np.savetxt(tmp_path / "cost.csv", cost, delimiter=",")
+    np.savetxt(tmp_path / "mu.txt", np.full(3, 0.4))
+    np.savetxt(tmp_path / "nu.txt", np.full(4, 0.3))
+    return str(tmp_path / "cost.csv"), str(tmp_path / "mu.txt"), str(tmp_path / "nu.txt")
 
+
+class TestUot:
     def test_round_trip(self, tmp_path):
-        cost, mu, nu = self._inputs(tmp_path)
+        cost, mu, nu = _uot_files(tmp_path)
         rc = main(["uot", "--cost", cost, "--mu", mu, "--nu", nu,
                    "--rho", "0.5", "--eps", "0.05", "--out", str(tmp_path)])
         assert rc == 0
@@ -102,7 +106,7 @@ class TestUot:
         assert summary["plan_mass"] == pytest.approx(plan.sum(), rel=1e-9)
 
     def test_unconverged_exit_code(self, tmp_path):
-        cost, mu, nu = self._inputs(tmp_path)
+        cost, mu, nu = _uot_files(tmp_path)
         rc = main(["uot", "--cost", cost, "--mu", mu, "--nu", nu,
                    "--max-inner", "1", "--out", str(tmp_path)])
         assert rc == 1
@@ -151,6 +155,28 @@ class TestQuadratic:
                    "--max-inner", "5", "--out", str(tmp_path)])
         assert rc == 1
         assert "unequal total masses" in capsys.readouterr().err
+
+    def test_debias_reuses_the_cross_solve(self, tmp_path, monkeypatch):
+        from ugwkit import cli, ugw
+
+        calls = []
+
+        def counted(fn):
+            @functools.wraps(fn)
+            def run(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return run
+
+        # the CLI's own binding and the one debiased_ugw calls through
+        monkeypatch.setattr(cli, "solve_ugw", counted(cli.solve_ugw))
+        monkeypatch.setattr(ugw, "solve_ugw", counted(ugw.solve_ugw))
+        x_path, y_path = _space_files(tmp_path)
+        rc = main(["ugw", "--x", x_path, "--y", y_path, "--eps", "0.05", "--debias",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert len(calls) == 3  # cross, self_x, self_y
 
     def test_missing_space_file_fails(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -238,6 +264,29 @@ class TestDrivers:
         assert (tmp_path / "perturb.csv").exists()
 
 
+class TestBadInput:
+    @pytest.mark.parametrize("command, argv, message", [
+        ("uot", ["--eps", "-1"], "eps must be positive"),
+        ("ugw", ["--rho", "-1"], "rho must be nonnegative"),
+        ("ugw", ["--eps", "abc"], "bad value for --eps"),
+        ("cgw", ["--rho", "0"], "rho must be positive"),
+        ("moons", ["--n", "abc"], "bad value for --n"),
+    ])
+    def test_exits_2_with_one_line(self, command, argv, message, tmp_path, capsys):
+        x_path, y_path = _space_files(tmp_path)
+        cost, mu, nu = _uot_files(tmp_path)
+        inputs = {"uot": ["--cost", cost, "--mu", mu, "--nu", nu],
+                  "ugw": ["--x", x_path, "--y", y_path],
+                  "cgw": ["--x", x_path, "--y", y_path],
+                  "moons": []}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *inputs, *argv, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+
+
 class TestParser:
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:
@@ -253,3 +302,112 @@ class TestParser:
             main(["--version"])
         assert exc.value.code == 0
         assert "ugwkit" in capsys.readouterr().out
+
+
+# Each driver subcommand with every flag it accepts: (flag, text, expected
+# keyword value). Texts are chosen so that the type matters: "1" must reach a
+# float parameter as 1.0, "4" an int parameter as 4, "inf" a float list as inf.
+_DRIVER_FLAGS = {
+    "perturb": ("run_perturb", [
+        ("n", "4", 4), ("ts", "0,0.5", [0.0, 0.5]), ("rho", "1", 1.0),
+        ("eps", "0.05", 0.05), ("grid-k", "6", 6), ("grid-l", "7", 7),
+        ("restarts", "3", 3),
+    ]),
+    "ratio-hist": ("run_ratio_hist", [
+        ("ns", "2,4", [2, 4]), ("trials", "5", 5), ("rho", "1", 1.0),
+        ("eps", "0.05", 0.05), ("grid-k", "6", 6), ("grid-l", "7", 7),
+        ("restarts", "3", 3),
+    ]),
+    "moons": ("run_moons", [
+        ("n", "9", 9), ("n-outliers", "2", 2), ("rhos", "1,0.5", [1.0, 0.5]),
+        ("eps", "0.05", 0.05), ("seeds", "3,4", [3, 4]), ("max-outer", "7", 7),
+        ("tol-pot", "1e-8", 1e-8),
+    ]),
+    "graph-match": ("run_graph_match", [
+        ("n", "9", 9), ("n-outliers", "2", 2), ("eps-grid", "1,0.5", [1.0, 0.5]),
+        ("rho-grid", "0.5,inf", [0.5, math.inf]), ("max-outer", "7", 7),
+        ("tol-pot", "1e-8", 1e-8),
+    ]),
+    "scale-bias": ("run_scale_bias", [
+        ("n", "4", 4), ("rho", "1", 1.0), ("kappas", "0.5,2", [0.5, 2.0]),
+        ("b-target", "1", 1.0),
+    ]),
+    "pu": ("run_pu", [
+        ("folds", "2", 2), ("n-pos", "5", 5), ("n-unlabeled-pos", "6", 6),
+        ("n-unlabeled-neg", "3", 3), ("eps", "1", 1.0), ("rho-grid", "0.5,inf", [0.5, math.inf]),
+        ("max-outer", "7", 7), ("tol-pot", "1e-8", 1e-8),
+    ]),
+}
+
+
+@pytest.fixture
+def captured_drivers():
+    """Replace every app.run_* driver by a recorder of its keyword arguments.
+
+    The CLI module is reloaded around the test so that a driver table built at
+    import time picks up the recorders and, afterwards, the real drivers. The
+    recorders keep the drivers' signatures, which a CLI may read its flags from.
+    """
+    from ugwkit import app, cli
+
+    calls = {}
+
+    def recorder(name, original):
+        @functools.wraps(original)
+        def run(**kwargs):
+            calls[name] = kwargs
+            return {"files": [], "converged": True}
+
+        return run
+
+    originals = {name: getattr(app, name) for name, _ in _DRIVER_FLAGS.values()}
+    for name, fn in originals.items():
+        setattr(app, name, recorder(name, fn))
+    importlib.reload(cli)
+    try:
+        yield cli, calls
+    finally:
+        for name, fn in originals.items():
+            setattr(app, name, fn)
+        importlib.reload(cli)
+
+
+def _assert_same_kwargs(got, expected):
+    assert set(got) == set(expected)
+    for key, value in expected.items():
+        assert got[key] == value, key
+        assert type(got[key]) is type(value), key
+        if isinstance(value, list):
+            assert [type(v) for v in got[key]] == [type(v) for v in value], key
+
+
+class TestDriverFlags:
+    @pytest.mark.parametrize("command", sorted(_DRIVER_FLAGS))
+    def test_flags_reach_the_driver(self, command, captured_drivers, tmp_path):
+        cli, calls = captured_drivers
+        name, flags = _DRIVER_FLAGS[command]
+        argv = [command, "--seed", "5", "--out", str(tmp_path)]
+        for flag, text, _ in flags:
+            argv += [f"--{flag}", text]
+        assert cli.main(argv) == 0
+        expected = {flag.replace("-", "_"): value for flag, _, value in flags}
+        expected.update(out_dir=str(tmp_path), seed=5, fmt="csv")
+        _assert_same_kwargs(calls[name], expected)
+
+    @pytest.mark.parametrize("command", sorted(_DRIVER_FLAGS))
+    def test_config_reaches_the_driver(self, command, captured_drivers, tmp_path):
+        cli, calls = captured_drivers
+        name, flags = _DRIVER_FLAGS[command]
+        cfg = tmp_path / "run.cfg"
+        # the underscore and the dash spelling are both accepted
+        cfg.write_text("".join(f"{flag.replace('-', '_') if i % 2 else flag} = {text}\n"
+                               for i, (flag, text, _) in enumerate(flags)))
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        expected = {flag.replace("-", "_"): value for flag, _, value in flags}
+        expected.update(out_dir=str(tmp_path), seed=0, fmt="csv")
+        _assert_same_kwargs(calls[name], expected)
+
+    def test_unset_flags_keep_the_driver_defaults(self, captured_drivers, tmp_path):
+        cli, calls = captured_drivers
+        assert cli.main(["moons", "--out", str(tmp_path)]) == 0
+        assert calls["run_moons"] == {"out_dir": str(tmp_path), "seed": 0, "fmt": "csv"}

@@ -6,10 +6,8 @@ import pytest
 from ugwkit.conic import (
     CgwResult,
     ConeMetricSpec,
-    ConePoint,
     ConicPlan,
     cone_cost,
-    cone_dist,
     conic_energy,
     conic_lift,
     conic_local_cost,
@@ -51,17 +49,6 @@ class TestConeMetricSpec:
         assert ConeMetricSpec("ptv").entropy.kind == "tv"
 
 
-class TestConePoint:
-    def test_apex_gluing(self):
-        assert ConePoint(0.0, 0.0) == ConePoint(5.0, 0.0)
-        assert ConePoint(1.0, 2.0) == ConePoint(1.0, 2.0)
-        assert ConePoint(1.0, 2.0) != ConePoint(2.0, 2.0)
-
-    def test_negative_radius(self):
-        with pytest.raises(ValueError):
-            ConePoint(0.0, -1.0)
-
-
 class TestPerspectiveH:
     def test_kl_closed_form_frozen(self):
         # c = 0 collapses to the squared Hellinger-type distance
@@ -83,8 +70,8 @@ class TestPerspectiveH:
             c = float(rng.uniform(0.0, 3.0))
             r = float(rng.uniform(0.0, 2.0))
             s = float(rng.uniform(0.1, 2.0))
-            closed = perspective_H(c, r, s, entropy, method="closed")
-            grid = perspective_H(c, r, s, entropy, method="grid")
+            closed = perspective_H(c, r, s, entropy)
+            grid = oracles.perspective_H_grid(c, r, s, entropy)
             np.testing.assert_allclose(grid, closed, rtol=1e-7, atol=1e-12)
 
     def test_validation(self):
@@ -92,8 +79,6 @@ class TestPerspectiveH:
             perspective_H(-1.0, 1.0, 1.0, KL())
         with pytest.raises(ValueError):
             perspective_H(1.0, -1.0, 1.0, KL())
-        with pytest.raises(ValueError):
-            perspective_H(1.0, 1.0, 1.0, KL(), method="newton")
 
 
 class TestConeCost:
@@ -110,13 +95,6 @@ class TestConeCost:
                 rtol=1e-12,
                 atol=1e-15,
             )
-
-    def test_gh_literal_uses_plain_exponent(self):
-        spec = ConeMetricSpec("gh", rho=0.8, gh_literal=True)
-        d, r, s = 1.7, 1.2, 0.5
-        np.testing.assert_allclose(
-            cone_cost(spec, d, r, s), perspective_H(d, r * r, s * s, KL(0.8)), rtol=1e-12
-        )
 
     def test_ptv_is_perspective_of_power_cost(self):
         spec = ConeMetricSpec("ptv", rho=0.6, q=1.5)
@@ -142,14 +120,6 @@ class TestConeCost:
         farther = cone_cost(spec, 3.0, 1.0, 1.0)
         assert far == pytest.approx(2.0)
         assert farther == pytest.approx(2.0)
-
-    def test_cone_dist_wraps_points(self):
-        spec = ConeMetricSpec("gh", rho=1.0)
-        a = ConePoint(0.0, 1.0)
-        b = ConePoint(1.0, 2.0)
-        assert cone_dist(spec, a, b, 0.5) == pytest.approx(
-            float(cone_cost(spec, 0.5, 1.0, 2.0))
-        )
 
 
 class TestConicPlan:

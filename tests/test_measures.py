@@ -15,7 +15,6 @@ from ugwkit.measures import (
     TransportPlan,
     csiszar_div,
     kl_div,
-    marginals,
     quad_kl,
     tensor_kl,
 )
@@ -93,10 +92,6 @@ class TestTransportPlan:
         assert plan.mass == pytest.approx(10.0)
         assert plan.shape == (2, 2)
 
-    def test_scaled(self):
-        plan = TransportPlan([[1.0, 1.0]])
-        assert plan.scaled(2.0).mass == pytest.approx(4.0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             TransportPlan([1.0, 2.0])
@@ -104,14 +99,6 @@ class TestTransportPlan:
             TransportPlan([[-1.0]])
         with pytest.raises(ValueError):
             TransportPlan([[math.inf]])
-
-    def test_marginals_function_matches(self):
-        v = np.arange(6.0).reshape(2, 3)
-        r, c, m = marginals(v)
-        plan = TransportPlan(v)
-        np.testing.assert_array_equal(r, plan.row_marginal)
-        np.testing.assert_array_equal(c, plan.col_marginal)
-        assert m == plan.mass
 
 
 class TestEntropySpec:

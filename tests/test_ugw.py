@@ -179,7 +179,7 @@ class TestSolveUgw:
         )
         assert abs(sol.pi.mass - sol.gamma.mass) <= 1e-12 * max(1.0, sol.pi.mass)
         assert sol.diagnostics["aborted"] is None
-        assert sol.diagnostics["inner_converged"]
+        assert sol.diagnostics["inner_capped"] == 0
 
     def test_inner_capped_counts_every_capped_call(self):
         X, Y = self.make_pair(7)
@@ -189,6 +189,20 @@ class TestSolveUgw:
         assert not capped.converged
         free = solve_ugw(X, Y, UgwConfig(eps=1e-2, rho1=1.0, tol_pot=1e-11))
         assert free.converged and free.diagnostics["inner_capped"] == 0
+
+    @pytest.mark.parametrize("rho", [1e6, math.inf])
+    def test_capped_inner_call_is_not_converged(self, rho):
+        # criterion 12's instance 1: the plan test passes after inner calls
+        # that hit max_inner, with the last inner call converged
+        rng = np.random.default_rng([55, 1])
+        n, m = (int(v) for v in rng.integers(4, 9, size=2))
+        X, Y = random_space(rng, n), random_space(rng, m)
+        cfg = UgwConfig(eps=1e-2, rho1=rho, rho2=rho, tol_pot=1e-9, max_inner=1000,
+                        max_outer=50)
+        sol = solve_ugw(X, Y, cfg)
+        assert sol.outer_iterations < cfg.max_outer and sol.diagnostics["aborted"] is None
+        assert sol.diagnostics["inner_capped"] > 0
+        assert not sol.converged
 
     def test_tightness_at_convergence(self):
         for seed in (8, 9):
@@ -264,3 +278,10 @@ class TestDebiased:
             rtol=1e-12,
             atol=1e-15,
         )
+
+    def test_reused_cross_solve_gives_the_same_result(self):
+        rng = np.random.default_rng(16)
+        X = random_space(rng, 4, weights="mass")
+        Y = random_space(rng, 5, weights="mass")
+        cfg = UgwConfig(eps=1e-2, rho1=1.0, tol_pot=1e-11)
+        assert debiased_ugw(X, Y, cfg, cross=solve_ugw(X, Y, cfg)) == debiased_ugw(X, Y, cfg)
