@@ -35,10 +35,6 @@ from .ugw import UgwConfig, debiased_ugw, solve_ugw
 
 __all__ = ["main"]
 
-# the keys of tightness_diagnostics, which solve_ugw merges into its diagnostics
-_TIGHTNESS = ("F_pi_gamma", "F_pi_pi", "F_gamma_gamma", "plan_gap", "mass_pi", "mass_gamma")
-
-
 def _to_float(tok):
     tok = str(tok).strip().lower()
     if tok in ("inf", "+inf"):
@@ -209,7 +205,7 @@ def _run_quadratic(opts, out_dir, name, balanced):
         "mass_pi": sol.pi.mass,
         "iterations": sol.outer_iterations,
         "converged": sol.converged,
-        "tightness": {key: sol.diagnostics[key] for key in _TIGHTNESS},
+        "tightness": sol.diagnostics["tightness"],
     }
     if opts.get("debias", False):
         deb = debiased_ugw(X, Y, cfg, cross=sol)

@@ -221,7 +221,8 @@ def solve_ugw(X, Y, cfg, init_plan=None):
 
     diagnostics["inner_capped"] counts the inner calls that hit max_inner.
     ``converged`` requires the plan test to pass with no capped inner call
-    along the way.
+    along the way. diagnostics["tightness"] holds tightness_diagnostics at
+    the returned pair.
     """
     mu, nu = X.weights, Y.weights
     if init_plan is None:
@@ -294,7 +295,7 @@ def solve_ugw(X, Y, cfg, init_plan=None):
         converged=converged and inner_capped == 0 and aborted is None,
         diagnostics={"aborted": aborted, "inner_capped": inner_capped},
     )
-    sol.diagnostics.update(tightness_diagnostics(X, Y, sol, cfg))
+    sol.diagnostics["tightness"] = tightness_diagnostics(X, Y, sol, cfg)
     return sol
 
 
@@ -311,15 +312,16 @@ def tightness_diagnostics(X, Y, sol, cfg):
     }
 
 
-def debiased_ugw(X, Y, cfg, init_plan=None, cross=None):
+def debiased_ugw(X, Y, cfg, cross=None):
     """Debiased cost: cross - self_x/2 - self_y/2 + (eps/2)(m(mu)^2 - m(nu)^2)^2.
 
     All three runs share cfg (the self runs use the default initialization).
-    ``cross`` reuses a finished solve_ugw(X, Y, cfg, init_plan) instead of
-    running it again. ``converged`` is False if any sub-run failed to converge.
+    ``cross`` is a finished solve_ugw(X, Y, cfg, ...) to reuse, with any
+    init_plan; when None it is solved here from the default initialization.
+    ``converged`` is False if any sub-run failed to converge.
     """
     if cross is None:
-        cross = solve_ugw(X, Y, cfg, init_plan=init_plan)
+        cross = solve_ugw(X, Y, cfg)
     sx = solve_ugw(X, X, cfg)
     sy = solve_ugw(Y, Y, cfg)
     corr = 0.5 * cfg.eps * (X.mass**2 - Y.mass**2) ** 2

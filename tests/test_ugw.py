@@ -210,7 +210,7 @@ class TestSolveUgw:
             cfg = UgwConfig(eps=1e-2, rho1=1.0, tol_pot=1e-11)
             sol = solve_ugw(X, Y, cfg)
             assert sol.converged
-            d = sol.diagnostics
+            d = sol.diagnostics["tightness"]
             F = d["F_pi_gamma"]
             gap = max(abs(F - d["F_pi_pi"]), abs(F - d["F_gamma_gamma"]))
             assert gap <= 1e-5 * (1.0 + abs(F))
