@@ -311,7 +311,7 @@ def _driver_defaults(run):
             if key not in ("out_dir", "seed", "fmt")}
 
 
-def _run_driver(run, opts, out_dir, seed, fmt):
+def cmd_sweep(run, opts, out_dir, seed, fmt):
     result = run(out_dir=out_dir, seed=seed, fmt=fmt, **opts.given(_driver_defaults(run)))
     for f in result["files"]:
         print(f"wrote {f}")
@@ -424,7 +424,7 @@ _HANDLERS = {
     "flb": cmd_flb,
     "cgw": cmd_cgw,
     "scale": cmd_scale,
-    **{name: functools.partial(_run_driver, run) for name, run in _DRIVERS.items()},
+    **{name: functools.partial(cmd_sweep, run) for name, run in _DRIVERS.items()},
 }
 
 
