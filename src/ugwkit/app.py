@@ -311,6 +311,8 @@ def run_ratio_hist(
     fmt="csv",
 ):
     """Histogram of grid-to-quadratic cost ratios over random pairs."""
+    cfg = UgwConfig(eps=eps, rho1=rho, rho2=rho, tol_pot=1e-11)
+    ConeMetricSpec("gh", rho=rho)  # the grid side needs rho > 0: fail before the sweep
     ratios = {n: [] for n in ns}
 
     def cases():
@@ -321,7 +323,7 @@ def run_ratio_hist(
 
     def solve(n, trial, X, Y):
         ratio, sol, _ = cgw_ugw_ratio(X, Y, rho, eps, K=grid_k, L=grid_l, restarts=restarts,
-                                      seed=seed * 1000 + trial)
+                                      seed=seed * 1000 + trial, cfg=cfg)
         ratios[n].append(ratio)
         return {"ratio": ratio, "converged": sol.converged}
 
@@ -367,6 +369,8 @@ def run_moons(
     one pair of clouds; no seeds means the single cloud of ``seed``.
     """
     seeds = list(seeds) or [seed]
+    cfgs = {rho: UgwConfig(eps=eps, rho1=rho, rho2=rho, tol_pot=tol_pot, max_outer=max_outer)
+            for rho in rhos}
 
     def cases():
         for sd in seeds:
@@ -379,8 +383,7 @@ def run_moons(
                 yield {"seed": sd, "rho": rho}, X, Y, outlier_idx, rho
 
     def solve(X, Y, outlier_idx, rho):
-        cfg = UgwConfig(eps=eps, rho1=rho, rho2=rho, tol_pot=tol_pot, max_outer=max_outer)
-        sol = solve_ugw(X, Y, cfg)
+        sol = solve_ugw(X, Y, cfgs[rho])
         mass = float(sol.pi.row_marginal[outlier_idx].sum())
         share = sol.pi.mass / X.n
         return {
@@ -414,6 +417,9 @@ def run_graph_match(
 ):
     """Plans between a community graph with outliers and a clean one, across
     the regularization grid (rho = inf runs the balanced mode)."""
+    cfgs = {(eps, rho): UgwConfig(eps=eps, rho1=rho, rho2=rho, tol_pot=tol_pot,
+                                  max_outer=max_outer)
+            for eps in eps_grid for rho in rho_grid}
     g = geometry.gen_shape("community_graph", n, seed, n_outliers=n_outliers)
     g_clean = geometry.gen_shape("community_graph", n, seed + 10_000, n_outliers=0)
     X = geometry.space_from_graph(g, label="graph+outliers")
@@ -423,8 +429,7 @@ def run_graph_match(
         return "inf" if math.isinf(rho) else rho
 
     def solve(eps, rho):
-        cfg = UgwConfig(eps=eps, rho1=rho, rho2=rho, tol_pot=tol_pot, max_outer=max_outer)
-        sol = solve_ugw(X, Y, cfg)
+        sol = solve_ugw(X, Y, cfgs[eps, rho])
         plan_file = f"graph_match_plan_eps{eps:g}_rho{rho:g}.csv"
         save_plan(sol.pi, os.path.join(out_dir, plan_file))
         return {"cost_biconvex": sol.cost_biconvex, "plan_mass": sol.pi.mass,
@@ -502,6 +507,8 @@ def run_pu(
     """
     r = n_unlabeled_pos / (n_unlabeled_pos + n_unlabeled_neg)
     truth = np.concatenate([np.ones(n_unlabeled_pos, int), -np.ones(n_unlabeled_neg, int)])
+    cfgs = {rho: UgwConfig(eps=eps, rho1=rho, rho2=rho, tol_pot=tol_pot, max_outer=max_outer)
+            for rho in rho_grid}
 
     def cases():
         for fold in range(folds):
@@ -515,8 +522,7 @@ def run_pu(
                 yield {"fold": fold, "rho": rho}, X, Y, rho
 
     def solve(X, Y, rho):
-        cfg = UgwConfig(eps=eps, rho1=rho, rho2=rho, tol_pot=tol_pot, max_outer=max_outer)
-        sol = solve_ugw(X, Y, cfg)
+        sol = solve_ugw(X, Y, cfgs[rho])
         labels = pu_predict(sol.pi, r)
         return {"accuracy": float(np.mean(labels == truth)), "converged": sol.converged}
 

@@ -268,6 +268,8 @@ def cmd_cgw(opts, out_dir, seed, fmt):
     summary = {
         "cost": res.cost,
         "restart_costs": [entry["cost"] for entry in res.restart_log],
+        "lp_pivots": sum(entry["pivots"] for entry in res.restart_log),
+        "unconverged_restarts": sum(not entry["converged"] for entry in res.restart_log),
     }
     if with_ugw:
         summary["ratio_vs_ugw"] = ratio

@@ -23,6 +23,7 @@ product-form and permutation-lift initializations.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -334,13 +335,10 @@ def conic_local_cost(beta, DX, DY, spec):
     S_r = float(np.einsum("ijkl,k->", beta.grid, r * r))
     S_s = float(np.einsum("ijkl,l->", beta.grid, s * s))
     T = np.einsum("ijkl,k,l->ij", beta.grid, r, s)
-    base = np.abs(DX[:, None, :, None] - DY[None, :, None, :])  # (n,m,n,m)
-    G = np.einsum("ijab,ab->ij", _kernel(spec, base), T)
-    C = np.zeros((n, m, r.size, s.size))
-    C += rho * (r * r * S_r)[None, None, :, None]
-    C += rho * (s * s * S_s)[None, None, None, :]
-    C -= 2.0 * rho * G[:, :, None, None] * (r[:, None] * s[None, :])[None, None, :, :]
-    return C
+    base = np.abs(DX[:, None, :, None] - DY[None, :, None, :]).reshape(n * m, n * m)
+    G = (_kernel(spec, base) @ T.ravel()).reshape(n, m)
+    radial = (rho * (r * r * S_r))[:, None] + (rho * (s * s * S_s))[None, :]
+    return radial - (2.0 * rho * G)[:, :, None, None] * (r[:, None] * s[None, :])
 
 
 def _radial_profile(rng, radii_sq, mass, moment):
@@ -440,6 +438,10 @@ def solve_cgw(X, Y, spec=None, K=10, L=10, restarts=20, seed=0, max_rounds=200, 
     the plan, builds the local cost tensor, and re-solves the moment-
     constrained LP (warm-started, since the constraints never change) until
     the energy decrease falls below tol*(1+|cost|) or max_rounds.
+
+    Each restart_log entry holds the restart's init kind, rounds, final cost
+    and cost trace, its LP pivots and seconds, and ``converged``: whether the
+    decrease test stopped it before max_rounds.
     """
     if spec is None:
         spec = ConeMetricSpec("gh", rho=1.0)
@@ -471,14 +473,18 @@ def solve_cgw(X, Y, spec=None, K=10, L=10, restarts=20, seed=0, max_rounds=200, 
             alpha = _product_init(rng, mu, nu, r, s)
         else:
             alpha = _permutation_init(rng, mu, nu, r, s)
+        start = time.perf_counter()
         plan = ConicPlan.from_grid(alpha, R)
         C = conic_local_cost(plan, X.dist, Y.dist, spec)
         cost = float(np.vdot(C, plan.grid))
         trace = [cost]
+        pivots = 0
+        converged = False
         for _ in range(max_rounds):
             sol = solve_lp(LpProblem(A, b, C.ravel()), init_basis=basis)
             if sol.status != "optimal":
                 raise RuntimeError("grid LP terminated " + sol.status)
+            pivots += sol.iterations
             basis = sol.basis
             new = ConicPlan.from_grid(sol.x.reshape(alpha.shape), R)
             C = conic_local_cost(new, X.dist, Y.dist, spec)
@@ -487,8 +493,11 @@ def solve_cgw(X, Y, spec=None, K=10, L=10, restarts=20, seed=0, max_rounds=200, 
             improved = cost - new_cost
             plan, cost = new, new_cost
             if improved <= tol * (1.0 + abs(new_cost)):
+                converged = True
                 break
-        log.append({"init": kind, "rounds": len(trace) - 1, "cost": cost, "trace": trace})
+        log.append({"init": kind, "rounds": len(trace) - 1, "cost": cost, "trace": trace,
+                    "pivots": pivots, "seconds": time.perf_counter() - start,
+                    "converged": converged})
         if best is None or cost < best.cost:
             best = CgwResult(alpha=plan, cost=cost, restart_log=log)
     best.restart_log = log

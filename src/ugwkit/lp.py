@@ -1,11 +1,13 @@
 """Dense linear programming in standard form.
 
 min c.x  subject to  A x = b, x >= 0, solved with a two-phase revised
-simplex. Basic systems are solved directly (np.linalg.solve) each iteration,
-which is plenty for the problem sizes produced by the conic grid solver
-(tens of rows, a few thousand columns). Pricing starts with Dantzig's rule
-and falls back to Bland's rule after 5 * n_cols iterations so cycling on
-degenerate vertices cannot occur.
+simplex. The kernel keeps the inverse of the basis matrix and updates it by
+one elimination step per pivot, so basic values, duals and the entering
+column come from matrix-vector products; the basis stays small (tens of
+rows) next to the few thousand columns of the conic grid solver's LPs. The
+returned point and duals come from a fresh solve of the final basis. Pricing
+starts with Dantzig's rule and falls back to Bland's rule after 5 * n_cols
+iterations so cycling on degenerate vertices cannot occur.
 
 An optional warm start (``init_basis``) skips phase 1 when the caller already
 holds a feasible basis for the same (A, b); the conic solver exploits this
@@ -14,6 +16,7 @@ because its alternations only change the objective vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,45 +56,49 @@ class LpSolution:
     iterations: int
 
 
-def _simplex(A, b, c, basis, switch_after, max_iter=200000):
+def _simplex(A, b, c, basis, Binv, switch_after, max_iter=200000):
     """Phase kernel: iterate from a feasible basis until optimal/unbounded.
 
-    Returns (status, basis, iterations). basis is modified in place.
+    Binv is the inverse of A[:, basis]. Both are updated in place; returns
+    (status, iterations), iterations counting pivots.
     """
     m, n = A.shape
+    reduced = np.empty(n)
     for it in range(max_iter):
-        B = A[:, basis]
-        xB = np.linalg.solve(B, b)
-        y = np.linalg.solve(B.T, c[basis])
-        reduced = c - A.T @ y
+        # reduced costs c - A^T y with the duals y = c_B B^-1, in one buffer
+        np.matmul(c[basis] @ Binv, A, out=reduced)
+        np.subtract(c, reduced, out=reduced)
         reduced[basis] = 0.0
         if it < switch_after:
-            j = int(np.argmin(reduced))
+            j = reduced.argmin()
             if reduced[j] >= -PIVOT_TOL:
-                return "optimal", basis, it
+                return "optimal", it
         else:
             candidates = np.nonzero(reduced < -PIVOT_TOL)[0]
             if candidates.size == 0:
-                return "optimal", basis, it
-            j = int(candidates[0])
-        d = np.linalg.solve(B, A[:, j])
-        pos = d > PIVOT_TOL
-        if not np.any(pos):
-            return "unbounded", basis, it
-        ratios = np.full(m, np.inf)
-        ratios[pos] = xB[pos] / d[pos]
-        best = ratios.min()
+                return "optimal", it
+            j = candidates[0]
+        d = Binv @ A[:, j]
+        # ratio test over the m basic rows, short enough for plain Python
+        ratios = [x / dr if dr > PIVOT_TOL else math.inf
+                  for x, dr in zip((Binv @ b).tolist(), d.tolist())]
+        best = min(ratios)
+        if best == math.inf:
+            return "unbounded", it
         # smallest basic variable index among the tied rows (anti-cycling)
-        tied = np.nonzero(ratios <= best + PIVOT_TOL * (1.0 + abs(best)))[0]
-        r = int(tied[np.argmin(basis[tied])])
+        cut = best + PIVOT_TOL * (1.0 + abs(best))
+        r = min((i for i, q in enumerate(ratios) if q <= cut), key=basis.__getitem__)
+        _pivot(Binv, d, r)
         basis[r] = j
     raise RuntimeError("simplex iteration limit reached")
 
 
-def _basic_point(A, b, basis, n):
-    x = np.zeros(n)
-    x[basis] = np.linalg.solve(A[:, basis], b)
-    return x
+def _pivot(Binv, d, r):
+    """Update Binv in place when basis position r takes the column a with
+    Binv @ a = d: one elimination step on pivot d[r]."""
+    pivot_row = Binv[r] / d[r]
+    Binv -= d[:, None] * pivot_row
+    Binv[r] = pivot_row
 
 
 def solve_lp(problem, init_basis=None):
@@ -101,14 +108,15 @@ def solve_lp(problem, init_basis=None):
     skipped entirely. A basis that turns out singular or infeasible falls
     back to the cold two-phase path.
     """
-    A0, b0, c = problem.A, problem.b, problem.c
-    m, n = A0.shape
+    A, b, c = problem.A, problem.b, problem.c
+    m, n = A.shape
     m_full = m
     rows = np.arange(m)  # active original row indices (redundant rows get dropped)
     # orient rows so b >= 0 (phase 1 needs it)
-    flip = b0 < 0
-    A = np.where(flip[:, None], -A0, A0)
-    b = np.where(flip, -b0, b0)
+    flip = b < 0
+    if flip.any():
+        A = np.where(flip[:, None], -A, A)
+        b = np.where(flip, -b, b)
 
     basis = None
     iters = 0
@@ -116,10 +124,10 @@ def solve_lp(problem, init_basis=None):
         cand = np.asarray(init_basis, dtype=int)
         if cand.shape == (m,) and np.all(cand >= 0) and np.all(cand < n):
             try:
-                xB = np.linalg.solve(A[:, cand], b)
+                Binv = np.linalg.inv(A[:, cand])
             except np.linalg.LinAlgError:
-                xB = None
-            if xB is not None and np.all(xB >= -FEAS_TOL):
+                Binv = None
+            if Binv is not None and np.all(Binv @ b >= -FEAS_TOL):
                 basis = cand.copy()
 
     if basis is None:
@@ -127,11 +135,12 @@ def solve_lp(problem, init_basis=None):
         A1 = np.hstack([A, np.eye(m)])
         c1 = np.concatenate([np.zeros(n), np.ones(m)])
         basis = np.arange(n, n + m)
-        status, basis, it1 = _simplex(A1, b, c1, basis, switch_after=5 * (n + m))
+        Binv = np.eye(m)
+        status, it1 = _simplex(A1, b, c1, basis, Binv, switch_after=5 * (n + m))
         iters += it1
         if status != "optimal":
             raise RuntimeError("phase 1 terminated " + status)
-        obj1 = float(c1[basis] @ np.linalg.solve(A1[:, basis], b))
+        obj1 = float(c1[basis] @ (Binv @ b))
         if obj1 > FEAS_TOL:
             return LpSolution(
                 status="infeasible",
@@ -147,12 +156,11 @@ def solve_lp(problem, init_basis=None):
         for pos in range(m):
             if basis[pos] < n:
                 continue
-            u = np.zeros(m)
-            u[pos] = 1.0
-            row = np.linalg.solve(A1[:, basis].T, u) @ A
+            row = Binv[pos] @ A
             row[basis[basis < n]] = 0.0
             j = np.nonzero(np.abs(row) > PIVOT_TOL)[0]
             if j.size:
+                _pivot(Binv, Binv @ A[:, j[0]], pos)
                 basis[pos] = int(j[0])
             else:
                 keep[pos] = False
@@ -162,8 +170,9 @@ def solve_lp(problem, init_basis=None):
             basis = basis[keep]
             rows = rows[keep]
             m = rows.size
+            Binv = np.linalg.inv(A[:, basis])
 
-    status, basis, it2 = _simplex(A, b, c, basis, switch_after=5 * n)
+    status, it2 = _simplex(A, b, c, basis, Binv, switch_after=5 * n)
     iters += it2
     if status == "unbounded":
         return LpSolution(
@@ -174,11 +183,13 @@ def solve_lp(problem, init_basis=None):
             y=np.full(m_full, np.nan),
             iterations=iters,
         )
-    x = _basic_point(A, b, basis, n)
+    B = A[:, basis]
+    x = np.zeros(n)
+    x[basis] = np.linalg.solve(B, b)
     x[(x < 0) & (x > -1e-7)] = 0.0
     # duals of the active rows; dropped (redundant) rows keep dual 0, and the
     # sign flip from the b >= 0 orientation is undone per row
-    y_act = np.linalg.solve(A[:, basis].T, c[basis])
+    y_act = np.linalg.solve(B.T, c[basis])
     y = np.zeros(m_full)
     y[rows] = np.where(flip[rows], -y_act, y_act)
     return LpSolution(

@@ -135,6 +135,43 @@ def enumerate_vertices(A, b, c, feas_tol=1e-9):
     return best, best_x
 
 
+def simplex_solve_loop(A, b, c, basis, switch_after, pivot_tol=1e-10, max_iter=200000):
+    """Revised simplex phase that solves the basic systems afresh every pivot.
+
+    Three np.linalg.solve calls per iteration (basic values, duals, entering
+    column), Dantzig pricing switching to Bland's rule after switch_after
+    iterations, and the smallest-basic-index tie-break in the ratio test.
+    basis is modified in place; returns (status, iterations).
+    """
+    m, n = A.shape
+    for it in range(max_iter):
+        B = A[:, basis]
+        xB = np.linalg.solve(B, b)
+        y = np.linalg.solve(B.T, c[basis])
+        reduced = c - A.T @ y
+        reduced[basis] = 0.0
+        if it < switch_after:
+            j = int(np.argmin(reduced))
+            if reduced[j] >= -pivot_tol:
+                return "optimal", it
+        else:
+            candidates = np.nonzero(reduced < -pivot_tol)[0]
+            if candidates.size == 0:
+                return "optimal", it
+            j = int(candidates[0])
+        d = np.linalg.solve(B, A[:, j])
+        pos = d > pivot_tol
+        if not np.any(pos):
+            return "unbounded", it
+        ratios = np.full(m, np.inf)
+        ratios[pos] = xB[pos] / d[pos]
+        best = ratios.min()
+        tied = np.nonzero(ratios <= best + pivot_tol * (1.0 + abs(best)))[0]
+        r = int(tied[np.argmin(basis[tied])])
+        basis[r] = j
+    raise RuntimeError("simplex iteration limit reached")
+
+
 def sinkhorn_1x1(c, a, b, rho1, rho2, eps):
     """Closed-form 1x1 unbalanced OT mass from the stationarity condition.
 

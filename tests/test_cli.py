@@ -197,6 +197,8 @@ class TestCgw:
             summary = json.load(fh)
         assert "ratio_vs_ugw" in summary and "ugw_primal" in summary
         assert summary["cost"] == pytest.approx(min(summary["restart_costs"]), rel=1e-12)
+        assert summary["lp_pivots"] > 0
+        assert 0 <= summary["unconverged_restarts"] <= 6
         with open(tmp_path / "cgw_plan.csv") as fh:
             assert fh.readline().strip() == "i,r,j,s,mass"
 
@@ -271,6 +273,10 @@ class TestBadInput:
         ("ugw", ["--eps", "abc"], "bad value for --eps"),
         ("cgw", ["--rho", "0"], "rho must be positive"),
         ("moons", ["--n", "abc"], "bad value for --n"),
+        ("moons", ["--rhos=-1"], "rho must be nonnegative"),
+        ("graph-match", ["--rho-grid=-1"], "rho must be nonnegative"),
+        ("pu", ["--rho-grid=-1"], "rho must be nonnegative"),
+        ("ratio-hist", ["--rho", "0"], "rho must be positive"),
     ])
     def test_exits_2_with_one_line(self, command, argv, message, tmp_path, capsys):
         x_path, y_path = _space_files(tmp_path)
@@ -278,7 +284,7 @@ class TestBadInput:
         inputs = {"uot": ["--cost", cost, "--mu", mu, "--nu", nu],
                   "ugw": ["--x", x_path, "--y", y_path],
                   "cgw": ["--x", x_path, "--y", y_path],
-                  "moons": []}[command]
+                  "moons": [], "graph-match": [], "pu": [], "ratio-hist": []}[command]
         with pytest.raises(SystemExit) as exc:
             main([command, *inputs, *argv, "--out", str(tmp_path)])
         assert exc.value.code == 2

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ugwkit import conic
 from ugwkit.conic import (
     CgwResult,
     ConeMetricSpec,
@@ -16,6 +17,7 @@ from ugwkit.conic import (
     solve_cgw,
     up_residual,
 )
+from ugwkit.lp import solve_lp
 from ugwkit.measures import KL, TV, BALANCED, TransportPlan
 
 import oracles
@@ -349,11 +351,19 @@ class TestSolveCgw:
         assert isinstance(res, CgwResult)
         assert res.cost == pytest.approx(0.0, abs=1e-12)
 
-    def test_result_coherent(self):
+    def test_result_coherent(self, monkeypatch):
         rng = np.random.default_rng(14)
         X = random_space(rng, 2, weights="random")
         Y = random_space(rng, 3, weights="random")
         spec = ConeMetricSpec("gh", rho=0.5)
+        pivots = []
+
+        def counted(problem, init_basis=None):
+            sol = solve_lp(problem, init_basis=init_basis)
+            pivots.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(conic, "solve_lp", counted)
         res = solve_cgw(X, Y, spec=spec, K=5, L=5, restarts=4, seed=1, max_rounds=40)
         assert len(res.restart_log) == 4
         assert res.cost >= -1e-12
@@ -370,6 +380,12 @@ class TestSolveCgw:
             # every non-final round must clear the decrease threshold; the
             # final one only has to trip the stopping rule
             assert all(b < a for a, b in zip(trace[:-2], trace[1:-1]))
+            assert isinstance(entry["pivots"], int) and entry["pivots"] >= 0
+            assert entry["seconds"] > 0
+            assert entry["converged"] == (trace[-2] - trace[-1] <= 1e-9 * (1.0 + abs(trace[-1])))
+            assert entry["converged"] or entry["rounds"] == 40
+        assert sum(entry["pivots"] for entry in res.restart_log) == sum(pivots)
+        assert len(pivots) == sum(entry["rounds"] for entry in res.restart_log)
 
     def test_guards(self):
         rng = np.random.default_rng(15)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from ugwkit import conic, lp
 from ugwkit.lp import LpProblem, LpSolution, solve_lp
 
 import oracles
+from conftest import random_space
 
 
 def random_bounded_lp(rng, max_m=4, max_n=8):
@@ -133,3 +135,120 @@ def test_solution_type():
     assert isinstance(sol, LpSolution)
     assert sol.objective == pytest.approx(1.0)
     np.testing.assert_allclose(sol.x, [1.0, 0.0], atol=1e-12)
+
+
+def grid_lp(n, m, K, L, seed):
+    """The first LP solve_cgw builds for a random pair, which it solves cold."""
+    rng = np.random.default_rng(seed)
+    X = random_space(rng, n, weights="mass")
+    Y = random_space(rng, m, weights="mass")
+    seen = []
+
+    def record(problem, init_basis=None):
+        seen.append((problem, init_basis))
+        return solve_lp(problem, init_basis=init_basis)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(conic, "solve_lp", record)
+        conic.solve_cgw(X, Y, K=K, L=L, restarts=1, seed=seed, max_rounds=1)
+    problem, init_basis = seen[0]
+    assert init_basis is None
+    return problem
+
+
+@pytest.fixture
+def solve_lp_oracle(monkeypatch):
+    """solve_lp with its phase kernel replaced by the solve-per-pivot loop."""
+
+    def kernel(A, b, c, basis, Binv, switch_after):
+        status, it = oracles.simplex_solve_loop(A, b, c, basis, switch_after)
+        Binv[...] = np.linalg.inv(A[:, basis])
+        return status, it
+
+    def solve(problem, init_basis=None):
+        with monkeypatch.context() as patch:
+            patch.setattr(lp, "_simplex", kernel)
+            return solve_lp(problem, init_basis=init_basis)
+
+    return solve
+
+
+class TestBasisInverseKernel:
+    def test_matches_oracle_on_random_lps(self, solve_lp_oracle):
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            prob = random_bounded_lp(rng)
+            sol = solve_lp(prob)
+            ref = solve_lp_oracle(prob)
+            assert sol.status == ref.status
+            assert sol.iterations == ref.iterations
+            np.testing.assert_allclose(sol.objective, ref.objective, rtol=1e-12, atol=0)
+
+    def test_matches_oracle_on_cold_grid_lp(self, solve_lp_oracle):
+        prob = grid_lp(5, 5, 6, 6, seed=5)
+        sol = solve_lp(prob)
+        ref = solve_lp_oracle(prob)
+        assert sol.status == ref.status == "optimal"
+        assert sol.iterations == ref.iterations
+        np.testing.assert_array_equal(sol.basis, ref.basis)
+        np.testing.assert_allclose(sol.objective, ref.objective, rtol=1e-12, atol=0)
+
+    def test_degenerate_lps_that_drive_artificials_out(self, solve_lp_oracle, monkeypatch):
+        pivots = []
+        kernel_pivot = lp._pivot
+
+        def counted(Binv, d, r):
+            pivots.append(r)
+            kernel_pivot(Binv, d, r)
+
+        monkeypatch.setattr(lp, "_pivot", counted)
+        rng = np.random.default_rng(0)
+        driven_out = 0
+        for _ in range(100):
+            m = int(rng.integers(2, 4))
+            n = int(rng.integers(m + 1, 6))
+            A = rng.integers(-2, 3, size=(m, n)).astype(float)
+            if np.linalg.matrix_rank(A) < m:
+                continue
+            b = A @ rng.integers(0, 2, size=n).astype(float)
+            prob = LpProblem(A, b, rng.uniform(0.0, 3.0, size=n))
+            pivots.clear()
+            sol = solve_lp(prob)
+            driven_out += len(pivots) - sol.iterations  # pivots outside the kernel
+            ref = solve_lp_oracle(prob)
+            assert sol.status == ref.status == "optimal"
+            assert sol.iterations == ref.iterations
+            best, _ = oracles.enumerate_vertices(A, b, prob.c)
+            np.testing.assert_allclose(sol.objective, best, rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(A @ sol.x, b, atol=1e-9)
+        assert driven_out >= 10
+
+    def test_long_phase_one_stays_accurate(self):
+        prob = grid_lp(8, 8, 10, 10, seed=8)
+        sol = solve_lp(prob)
+        assert sol.status == "optimal"
+        assert sol.iterations > 50
+        assert np.all(sol.x >= 0)
+        assert np.max(np.abs(prob.A @ sol.x - prob.b)) <= 1e-9
+        assert np.min(prob.c - prob.A.T @ sol.y) >= -1e-8
+        np.testing.assert_allclose(sol.objective, float(prob.b @ sol.y), rtol=1e-10)
+
+    @pytest.mark.parametrize("kind", ["singular", "infeasible"])
+    def test_bad_init_basis_takes_the_cold_path(self, kind):
+        prob = grid_lp(3, 4, 4, 4, seed=7)
+        m, n = prob.A.shape
+        if kind == "singular":
+            bad = np.zeros(m, dtype=int)  # one column repeated
+        else:
+            rng = np.random.default_rng(7)
+            while True:
+                bad = np.sort(rng.choice(n, size=m, replace=False))
+                B = prob.A[:, bad]
+                if np.linalg.matrix_rank(B) == m and np.min(np.linalg.solve(B, prob.b)) < -1e-3:
+                    break
+        sol = solve_lp(prob, init_basis=bad)
+        cold = solve_lp(prob)
+        assert sol.status == cold.status == "optimal"
+        assert sol.iterations == cold.iterations
+        np.testing.assert_array_equal(sol.basis, cold.basis)
+        assert sol.objective == cold.objective
