@@ -209,17 +209,19 @@ def _floored_ratio(num, denom):
     return num / max(denom, RATIO_FLOOR)
 
 
-def cgw_ugw_ratio(X, Y, rho, eps, K=10, L=10, restarts=20, seed=0, cfg=None):
+def cgw_ugw_ratio(X, Y, rho, eps, K=10, L=10, restarts=20, seed=0, cfg=None, spec=None):
     """CGW cost over the eps-free UGW primal, with the 0/0 guard at 1.
 
     Both solvers see the same rho. When numerator and denominator both sit
     below the floor the spaces are matched exactly and the ratio is 1 by
     convention. The default config tightens tol_pot so the outer loop can
-    certify its plan tolerance at small eps.
+    certify its plan tolerance at small eps; the default spec is the GH cone
+    at the same rho.
     """
     cfg = cfg or UgwConfig(eps=eps, rho1=rho, rho2=rho, tol_pot=1e-11)
+    spec = spec or ConeMetricSpec("gh", rho=rho)
     sol = solve_ugw(X, Y, cfg)
-    res = solve_cgw(X, Y, ConeMetricSpec("gh", rho=rho), K=K, L=L, restarts=restarts, seed=seed)
+    res = solve_cgw(X, Y, spec, K=K, L=L, restarts=restarts, seed=seed)
     return _floored_ratio(res.cost, sol.primal_unregularized), sol, res
 
 
@@ -312,7 +314,7 @@ def run_ratio_hist(
 ):
     """Histogram of grid-to-quadratic cost ratios over random pairs."""
     cfg = UgwConfig(eps=eps, rho1=rho, rho2=rho, tol_pot=1e-11)
-    ConeMetricSpec("gh", rho=rho)  # the grid side needs rho > 0: fail before the sweep
+    spec = ConeMetricSpec("gh", rho=rho)
     ratios = {n: [] for n in ns}
 
     def cases():
@@ -323,7 +325,7 @@ def run_ratio_hist(
 
     def solve(n, trial, X, Y):
         ratio, sol, _ = cgw_ugw_ratio(X, Y, rho, eps, K=grid_k, L=grid_l, restarts=restarts,
-                                      seed=seed * 1000 + trial, cfg=cfg)
+                                      seed=seed * 1000 + trial, cfg=cfg, spec=spec)
         ratios[n].append(ratio)
         return {"ratio": ratio, "converged": sol.converged}
 

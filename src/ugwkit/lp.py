@@ -5,9 +5,11 @@ simplex. The kernel keeps the inverse of the basis matrix and updates it by
 one elimination step per pivot, so basic values, duals and the entering
 column come from matrix-vector products; the basis stays small (tens of
 rows) next to the few thousand columns of the conic grid solver's LPs. The
-returned point and duals come from a fresh solve of the final basis. Pricing
-starts with Dantzig's rule and falls back to Bland's rule after 5 * n_cols
-iterations so cycling on degenerate vertices cannot occur.
+inverse is recomputed every n_rows pivots and before optimality is declared.
+The returned point and duals come from a fresh solve of the final basis.
+Pricing, with a tolerance scaled by the largest cost, starts with Dantzig's
+rule and falls back to Bland's rule after 5 * n_cols iterations so cycling on
+degenerate vertices cannot occur.
 
 An optional warm start (``init_basis``) skips phase 1 when the caller already
 holds a feasible basis for the same (A, b); the conic solver exploits this
@@ -59,25 +61,39 @@ class LpSolution:
 def _simplex(A, b, c, basis, Binv, switch_after, max_iter=200000):
     """Phase kernel: iterate from a feasible basis until optimal/unbounded.
 
-    Binv is the inverse of A[:, basis]. Both are updated in place; returns
-    (status, iterations), iterations counting pivots.
+    Binv is the inverse of A[:, basis], freshly computed on entry. Both are
+    updated in place; returns (status, iterations), iterations counting pivots.
+    Binv is recomputed from the basis every m pivots and before optimality is
+    declared, so the roundoff of the updates cannot pile up. A reduced cost
+    counts as negative below -PIVOT_TOL * max(1, max|c|): its roundoff grows
+    with the costs, and on an LP with costs near 1e7 an absolute test lets two
+    columns with reduced costs of -1e-8 take turns entering forever.
     """
     m, n = A.shape
+    tol = PIVOT_TOL * max(1.0, float(np.abs(c).max()))
     reduced = np.empty(n)
-    for it in range(max_iter):
+
+    def entering(it):
         # reduced costs c - A^T y with the duals y = c_B B^-1, in one buffer
         np.matmul(c[basis] @ Binv, A, out=reduced)
         np.subtract(c, reduced, out=reduced)
         reduced[basis] = 0.0
         if it < switch_after:
             j = reduced.argmin()
-            if reduced[j] >= -PIVOT_TOL:
-                return "optimal", it
-        else:
-            candidates = np.nonzero(reduced < -PIVOT_TOL)[0]
-            if candidates.size == 0:
-                return "optimal", it
-            j = candidates[0]
+            return j if reduced[j] < -tol else None
+        candidates = np.nonzero(reduced < -tol)[0]
+        return candidates[0] if candidates.size else None
+
+    for it in range(max_iter):
+        if it % m == 0 and it:
+            Binv[...] = np.linalg.inv(A[:, basis])
+        j = entering(it)
+        if j is None and it % m:
+            # optimal on an updated inverse: confirm on a fresh one
+            Binv[...] = np.linalg.inv(A[:, basis])
+            j = entering(it)
+        if j is None:
+            return "optimal", it
         d = Binv @ A[:, j]
         # ratio test over the m basic rows, short enough for plain Python
         ratios = [x / dr if dr > PIVOT_TOL else math.inf
@@ -170,7 +186,7 @@ def solve_lp(problem, init_basis=None):
             basis = basis[keep]
             rows = rows[keep]
             m = rows.size
-            Binv = np.linalg.inv(A[:, basis])
+        Binv = np.linalg.inv(A[:, basis])
 
     status, it2 = _simplex(A, b, c, basis, Binv, switch_after=5 * n)
     iters += it2
@@ -184,9 +200,11 @@ def solve_lp(problem, init_basis=None):
             iterations=iters,
         )
     B = A[:, basis]
+    xB = np.linalg.solve(B, b)
+    if xB.min() < -FEAS_TOL:
+        raise RuntimeError("simplex basis lost feasibility")
     x = np.zeros(n)
-    x[basis] = np.linalg.solve(B, b)
-    x[(x < 0) & (x > -1e-7)] = 0.0
+    x[basis] = np.maximum(xB, 0.0)
     # duals of the active rows; dropped (redundant) rows keep dual 0, and the
     # sign flip from the b >= 0 orientation is undone per row
     y_act = np.linalg.solve(B.T, c[basis])

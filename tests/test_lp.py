@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -137,11 +139,14 @@ def test_solution_type():
     np.testing.assert_allclose(sol.x, [1.0, 0.0], atol=1e-12)
 
 
+def grid_spaces(n, m, seed):
+    rng = np.random.default_rng(seed)
+    return random_space(rng, n, weights="mass"), random_space(rng, m, weights="mass")
+
+
 def grid_lp(n, m, K, L, seed):
     """The first LP solve_cgw builds for a random pair, which it solves cold."""
-    rng = np.random.default_rng(seed)
-    X = random_space(rng, n, weights="mass")
-    Y = random_space(rng, m, weights="mass")
+    X, Y = grid_spaces(n, m, seed)
     seen = []
 
     def record(problem, init_basis=None):
@@ -252,3 +257,66 @@ class TestBasisInverseKernel:
         assert sol.iterations == cold.iterations
         np.testing.assert_array_equal(sol.basis, cold.basis)
         assert sol.objective == cold.objective
+
+    @pytest.mark.parametrize("plan_seed", [0, 1, 2])
+    def test_large_costs_do_not_cycle(self, solve_lp_oracle, plan_seed):
+        # the grid LP priced by an unnormalized uniform plan has costs up to
+        # 2e7; roundoff in its reduced costs is far above the absolute
+        # PIVOT_TOL, and an absolute pricing test alternated two columns
+        # until the pivot limit
+        X, Y = grid_spaces(8, 8, seed=8)
+        R = math.sqrt(X.mass**2 + Y.mass**2)
+        grid = np.random.default_rng(plan_seed).uniform(size=(8, 8, 11, 11))
+        C = conic.conic_local_cost(
+            conic.ConicPlan.from_grid(grid, R), X.dist, Y.dist, conic.ConeMetricSpec("gh", 1.0)
+        )
+        base = grid_lp(8, 8, 10, 10, seed=8)
+        prob = LpProblem(base.A, base.b, C.ravel())
+        assert np.abs(prob.c).max() > 1e7
+        sol = solve_lp(prob)
+        ref = solve_lp_oracle(prob)
+        assert sol.status == ref.status == "optimal"
+        np.testing.assert_allclose(sol.objective, ref.objective, rtol=1e-12, atol=0)
+        assert np.max(np.abs(prob.A @ sol.x - prob.b)) <= 1e-9
+        assert np.min(prob.c - prob.A.T @ sol.y) >= -1e-8 * np.abs(prob.c).max()
+        np.testing.assert_allclose(sol.objective, float(prob.b @ sol.y), rtol=1e-12)
+
+    def test_refresh_repairs_a_drifting_inverse(self, monkeypatch):
+        # every update adds an error of 1e-7; recomputing the inverse every m
+        # pivots and before optimality is declared keeps the answer exact
+        prob = grid_lp(8, 8, 10, 10, seed=8)
+        clean = solve_lp(prob)
+        rng = np.random.default_rng(0)
+        kernel_pivot = lp._pivot
+
+        def noisy(Binv, d, r):
+            kernel_pivot(Binv, d, r)
+            Binv += 1e-7 * rng.standard_normal(Binv.shape)
+
+        monkeypatch.setattr(lp, "_pivot", noisy)
+        sol = solve_lp(prob)
+        assert sol.status == "optimal"
+        np.testing.assert_allclose(sol.objective, clean.objective, rtol=1e-12)
+        assert np.all(sol.x >= 0)
+        assert np.max(np.abs(prob.A @ sol.x - prob.b)) <= 1e-9
+        assert np.min(prob.c - prob.A.T @ sol.y) >= -1e-8
+
+    def test_infeasible_final_basis_raises(self, monkeypatch):
+        # a kernel that reports optimal on a basis with negative values must
+        # not come back as a solution
+        prob = grid_lp(3, 4, 4, 4, seed=7)
+        m, n = prob.A.shape
+        rng = np.random.default_rng(7)
+        while True:
+            bad = np.sort(rng.choice(n, size=m, replace=False))
+            B = prob.A[:, bad]
+            if np.linalg.matrix_rank(B) == m and np.min(np.linalg.solve(B, prob.b)) < -1e-3:
+                break
+
+        def kernel(A, b, c, basis, Binv, switch_after):
+            basis[:] = bad
+            return "optimal", 0
+
+        monkeypatch.setattr(lp, "_simplex", kernel)
+        with pytest.raises(RuntimeError, match="lost feasibility"):
+            solve_lp(prob)
