@@ -1,8 +1,10 @@
 import functools
 import importlib
+import inspect
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -417,3 +419,241 @@ class TestDriverFlags:
         cli, calls = captured_drivers
         assert cli.main(["moons", "--out", str(tmp_path)]) == 0
         assert calls["run_moons"] == {"out_dir": str(tmp_path), "seed": 0, "fmt": "csv"}
+
+
+# Each solver subcommand with every flag it takes beyond its input files:
+# (flag, text, value the solver sees), text None for a switch. The texts are
+# chosen so that the type matters, as for the drivers. _SOLVER_FIXED holds
+# what the solver sees that no flag of the command sets.
+_SOLVER_FLAGS = {
+    "gen": [
+        ("kind", "two_moons_outliers", "two_moons_outliers"), ("n", "7", 7),
+        ("n-outliers", "2", 2), ("noise", "1", 1.0),
+    ],
+    "uot": [
+        ("rho", "2", 2.0), ("rho2", "0.5", 0.5), ("eps", "1", 1.0),
+        ("tol-pot", "1e-8", 1e-8), ("max-inner", "7", 7),
+    ],
+    "ugw": [
+        ("rho", "2", 2.0), ("rho2", "0.5", 0.5), ("eps", "1", 1.0), ("max-outer", "4", 4),
+        ("max-inner", "7", 7), ("tol-plan", "1e-4", 1e-4), ("tol-pot", "1e-8", 1e-8),
+        ("init", "flb", "flb"), ("debias", None, True),
+    ],
+    "gw": [
+        ("eps", "1", 1.0), ("max-outer", "4", 4), ("max-inner", "7", 7),
+        ("tol-plan", "1e-4", 1e-4), ("tol-pot", "1e-8", 1e-8), ("init", "flb", "flb"),
+        ("debias", None, True),
+    ],
+    "flb": [
+        ("rho", "2", 2.0), ("rho2", "0.5", 0.5), ("eps", "1", 1.0),
+        ("tol-pot", "1e-8", 1e-8), ("max-inner", "7", 7),
+    ],
+    "cgw": [
+        ("rho", "2", 2.0), ("grid-k", "3", 3), ("grid-l", "4", 4), ("restarts", "2", 2),
+        ("with-ugw", None, True), ("eps", "1", 1.0), ("tol-pot", "1e-8", 1e-8),
+    ],
+    "scale": [("rho", "2", 2.0), ("kappas", "0.5,2", [0.5, 2.0])],
+}
+_SOLVER_FIXED = {"gen": {"seed": 5}, "cgw": {"seed": 5},
+                 "gw": {"rho": math.inf, "rho2": math.inf}}
+
+# What each solver sees when only the input flags are given.
+_SOLVER_DEFAULTS = {
+    "gen": {"kind": "two_moons_outliers", "n": 50, "seed": 0},
+    "uot": {"rho": 1.0, "rho2": 1.0, "eps": 1e-2, "tol-pot": 1e-6, "max-inner": 3000},
+    "ugw": {"rho": 1.0, "rho2": 1.0, "eps": 1e-2, "max-outer": 3000, "max-inner": 3000,
+            "tol-plan": 1e-5, "tol-pot": 1e-9, "init": "product", "debias": False},
+    "gw": {"rho": math.inf, "rho2": math.inf, "eps": 1e-2, "max-outer": 3000,
+           "max-inner": 3000, "tol-plan": 1e-5, "tol-pot": 1e-9, "init": "product",
+           "debias": False},
+    "flb": {"rho": 1.0, "rho2": 1.0, "eps": 1e-2, "tol-pot": 1e-6, "max-inner": 3000},
+    "cgw": {"rho": 1.0, "grid-k": 10, "grid-l": 10, "restarts": 20, "seed": 0,
+            "with-ugw": False},
+    "scale": {"rho": 1.0, "kappas": (0.25, 0.5, 1.0, 2.0, 4.0)},
+}
+
+
+def _solver_inputs(tmp_path, command):
+    """The input-file flags of ``command``, and the arrays they hold.
+
+    The spaces are CSV distance matrices with separate weights files, so the
+    --x-weights and --y-weights flags are exercised too.
+    """
+    if command == "gen":
+        return {}, {}
+    if command == "uot":
+        cost, mu, nu = _uot_files(tmp_path)
+        arrays = {"cost": np.loadtxt(cost, delimiter=","), "mu": np.loadtxt(mu),
+                  "nu": np.loadtxt(nu)}
+        return {"cost": cost, "mu": mu, "nu": nu}, arrays
+    rng = np.random.default_rng(7)
+    flags, arrays = {}, {}
+    for key, n in (("x", 3), ("y", 4)):
+        S = random_space(rng, n)
+        flags[key] = str(tmp_path / f"{key}.csv")
+        flags[f"{key}-weights"] = str(tmp_path / f"{key}_weights.txt")
+        np.savetxt(flags[key], S.dist, delimiter=",")
+        np.savetxt(flags[f"{key}-weights"], S.weights)
+        arrays[key] = (np.loadtxt(flags[key], delimiter=","),
+                       np.loadtxt(flags[f"{key}-weights"]))
+    return flags, arrays
+
+
+@pytest.fixture
+def captured_solvers(monkeypatch):
+    """Wrap every function a solver subcommand passes its flags to.
+
+    Each wrapper keeps the arguments of its latest call, bound to the wrapped
+    function's signature with the defaults filled in, and then runs the
+    function, so the command finishes as usual.
+    """
+    from ugwkit import app, cli, geometry
+
+    calls = {}
+
+    def recorder(fn):
+        sig = inspect.signature(fn)
+
+        @functools.wraps(fn)
+        def run(*args, **kwargs):
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls[fn.__name__] = bound.arguments
+            return fn(*args, **kwargs)
+
+        return run
+
+    for module, name in ((geometry, "gen_shape"), (cli, "uot_sinkhorn"), (cli, "solve_flb"),
+                         (cli, "solve_ugw"), (app, "solve_ugw"), (cli, "debiased_ugw"),
+                         (cli, "solve_cgw"), (app, "solve_cgw"),
+                         (cli, "scaling_bias_report")):
+        monkeypatch.setattr(module, name, recorder(getattr(module, name)))
+    return calls
+
+
+def _observed(command, calls, arrays):
+    """The value each flag of ``command`` reached its solver with, by flag name.
+
+    Also checks that the input files reached every recorded call.
+    """
+    for args in calls.values():
+        for key, name in (("x", "X"), ("y", "Y")):
+            if name in args and key in arrays:
+                np.testing.assert_array_equal(args[name].dist, arrays[key][0])
+                np.testing.assert_array_equal(args[name].weights, arrays[key][1])
+    if command == "gen":
+        a = calls["gen_shape"]
+        return {"kind": a["kind"], "n": a["n"], "seed": a["seed"],
+                **{key.replace("_", "-"): value for key, value in a["params"].items()}}
+    if command == "uot":
+        a = calls["uot_sinkhorn"]
+        for key in ("cost", "mu", "nu"):
+            np.testing.assert_array_equal(a[key], arrays[key])
+        return {"rho": a["rho1"], "rho2": a["rho2"], "eps": a["eps"],
+                "tol-pot": a["tol_pot"], "max-inner": a["max_inner"]}
+    if command == "flb":
+        a = calls["solve_flb"]
+        rho, rho2 = a["rho"]
+        return {"rho": rho, "rho2": rho2, "eps": a["eps"], "tol-pot": a["tol_pot"],
+                "max-inner": a["max_inner"]}
+    if command in ("ugw", "gw"):
+        a = calls["solve_ugw"]
+        cfg = a["cfg"]
+        if a["init_plan"] is not None:
+            assert tuple(calls["solve_flb"]["rho"]) == (cfg.rho1, cfg.rho2)
+            assert calls["solve_flb"]["eps"] == cfg.eps
+        if "debiased_ugw" in calls:
+            assert calls["debiased_ugw"]["cfg"] == cfg
+        return {"rho": cfg.rho1, "rho2": cfg.rho2, "eps": cfg.eps, "max-outer": cfg.max_outer,
+                "max-inner": cfg.max_inner, "tol-plan": cfg.tol_plan, "tol-pot": cfg.tol_pot,
+                "init": "product" if a["init_plan"] is None else "flb",
+                "debias": "debiased_ugw" in calls}
+    if command == "cgw":
+        a = calls["solve_cgw"]
+        assert a["spec"].setting == "gh"
+        seen = {"rho": a["spec"].rho, "grid-k": a["K"], "grid-l": a["L"],
+                "restarts": a["restarts"], "seed": a["seed"], "with-ugw": "solve_ugw" in calls}
+        if seen["with-ugw"]:
+            cfg = calls["solve_ugw"]["cfg"]
+            assert cfg.rho1 == cfg.rho2 == seen["rho"]
+            seen.update({"eps": cfg.eps, "tol-pot": cfg.tol_pot})
+        return seen
+    a = calls["scaling_bias_report"]
+    return {"rho": a["rho"], "kappas": a["kappa_grid"]}
+
+
+class TestSolverFlags:
+    @pytest.mark.parametrize("command", sorted(_SOLVER_FLAGS))
+    def test_flags_reach_the_solver(self, command, captured_solvers, tmp_path):
+        inputs, arrays = _solver_inputs(tmp_path, command)
+        flags = _SOLVER_FLAGS[command]
+        argv = [command, "--seed", "5", "--out", str(tmp_path)]
+        for flag, text in [*inputs.items(), *((flag, text) for flag, text, _ in flags)]:
+            argv += [f"--{flag}"] + ([] if text is None else [text])
+        assert main(argv) in (0, 1)
+        expected = {**_SOLVER_FIXED.get(command, {}),
+                    **{flag: value for flag, _, value in flags}}
+        _assert_same_kwargs(_observed(command, captured_solvers, arrays), expected)
+
+    @pytest.mark.parametrize("command", sorted(_SOLVER_FLAGS))
+    def test_config_reaches_the_solver(self, command, captured_solvers, tmp_path):
+        inputs, arrays = _solver_inputs(tmp_path, command)
+        flags = _SOLVER_FLAGS[command]
+        lines = [(flag, text) for flag, text in inputs.items()]
+        lines += [(flag, "true" if text is None else text) for flag, text, _ in flags]
+        cfg = tmp_path / "run.cfg"
+        # the underscore and the dash spelling are both accepted
+        cfg.write_text("seed = 5\n" + "".join(
+            f"{flag.replace('-', '_') if i % 2 else flag} = {text}\n"
+            for i, (flag, text) in enumerate(lines)))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) in (0, 1)
+        expected = {**_SOLVER_FIXED.get(command, {}),
+                    **{flag: value for flag, _, value in flags}}
+        _assert_same_kwargs(_observed(command, captured_solvers, arrays), expected)
+
+    @pytest.mark.parametrize("command", sorted(_SOLVER_DEFAULTS))
+    def test_unset_flags_keep_their_defaults(self, command, captured_solvers, tmp_path):
+        inputs, arrays = _solver_inputs(tmp_path, command)
+        if command == "gen":
+            inputs = {"kind": "two_moons_outliers"}
+        argv = [command, "--out", str(tmp_path)]
+        for flag, path in inputs.items():
+            argv += [f"--{flag}", path]
+        assert main(argv) in (0, 1)
+        _assert_same_kwargs(_observed(command, captured_solvers, arrays),
+                            _SOLVER_DEFAULTS[command])
+
+    def test_with_ugw_defaults(self, captured_solvers, tmp_path):
+        inputs, arrays = _solver_inputs(tmp_path, "cgw")
+        argv = ["cgw", "--with-ugw", "--grid-k", "3", "--grid-l", "3", "--restarts", "2",
+                "--out", str(tmp_path)]
+        for flag, path in inputs.items():
+            argv += [f"--{flag}", path]
+        assert main(argv) in (0, 1)
+        seen = _observed("cgw", captured_solvers, arrays)
+        assert (seen["eps"], seen["tol-pot"]) == (1e-2, 1e-11)
+
+    @pytest.mark.parametrize("command", ["uot", "ugw", "flb"])
+    def test_unset_rho2_equals_rho(self, command, captured_solvers, tmp_path):
+        inputs, arrays = _solver_inputs(tmp_path, command)
+        argv = [command, "--rho", "0.5", "--max-inner", "5", "--out", str(tmp_path)]
+        for flag, path in inputs.items():
+            argv += [f"--{flag}", path]
+        assert main(argv) in (0, 1)
+        seen = _observed(command, captured_solvers, arrays)
+        assert seen["rho2"] == seen["rho"] == 0.5
+        assert type(seen["rho2"]) is float
+
+    @pytest.mark.parametrize("command", sorted([*_SOLVER_FLAGS, *_DRIVER_FLAGS]))
+    def test_help_lists_every_flag(self, command, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        if command in _SOLVER_FLAGS:
+            flags = [*_solver_inputs(tmp_path, command)[0],
+                     *(flag for flag, _, _ in _SOLVER_FLAGS[command])]
+        else:
+            flags = [flag for flag, _, _ in _DRIVER_FLAGS[command][1]]
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", capsys.readouterr().out))
+        assert listed == {"--help", "--seed", "--out", "--format", "--config",
+                          *(f"--{flag}" for flag in flags)}
