@@ -192,13 +192,9 @@ def write_manifest(out_dir, name, seed, config, files):
 # Shared experiment pieces
 
 
-def _cloud_space(points, label=None):
-    return geometry.space_from_points(geometry.PointCloud(points), label=label)
-
-
 def _random_pair(rng, n):
-    X = _cloud_space(rng.normal(size=(n, 2)), "x")
-    Y = _cloud_space(rng.normal(size=(n, 2)), "y")
+    X = geometry.space_from_points(rng.normal(size=(n, 2)), label="x")
+    Y = geometry.space_from_points(rng.normal(size=(n, 2)), label="y")
     return X, Y
 
 
@@ -209,16 +205,17 @@ def _floored_ratio(num, denom):
     return num / max(denom, RATIO_FLOOR)
 
 
-def cgw_ugw_ratio(X, Y, rho, eps, K=10, L=10, restarts=20, seed=0, cfg=None, spec=None):
+def cgw_ugw_ratio(X, Y, rho, eps=1e-2, K=10, L=10, restarts=20, seed=0, tol_pot=1e-11,
+                  cfg=None, spec=None):
     """CGW cost over the eps-free UGW primal, with the 0/0 guard at 1.
 
     Both solvers see the same rho. When numerator and denominator both sit
     below the floor the spaces are matched exactly and the ratio is 1 by
-    convention. The default config tightens tol_pot so the outer loop can
-    certify its plan tolerance at small eps; the default spec is the GH cone
-    at the same rho.
+    convention. The default config is built from eps and tol_pot, whose
+    default is tight so the outer loop can certify its plan tolerance at
+    small eps; the default spec is the GH cone at the same rho.
     """
-    cfg = cfg or UgwConfig(eps=eps, rho1=rho, rho2=rho, tol_pot=1e-11)
+    cfg = cfg or UgwConfig(eps=eps, rho1=rho, rho2=rho, tol_pot=tol_pot)
     spec = spec or ConeMetricSpec("gh", rho=rho)
     sol = solve_ugw(X, Y, cfg)
     res = solve_cgw(X, Y, spec, K=K, L=L, restarts=restarts, seed=seed)
@@ -281,7 +278,7 @@ def run_perturb(
     rng = np.random.default_rng(seed)
     base = rng.normal(size=(n, 2))
     delta = rng.normal(size=(n, 2))
-    X = _cloud_space(base, "x")
+    X = geometry.space_from_points(base, label="x")
     cfg = UgwConfig(eps=eps, rho1=rho, rho2=rho, tol_pot=1e-11)
     spec = ConeMetricSpec("gh", rho=rho)
 
@@ -292,8 +289,8 @@ def run_perturb(
                 "ugw_cross": deb.cross, "cgw_cost": res.cost, "converged": deb.converged}
 
     fields = ["t", "ratio", "ugw_debiased", "ugw_cross", "cgw_cost", "converged", "error"]
-    rows, ok = _sweep(fields, (({"t": t}, _cloud_space(base + t * delta, "y")) for t in ts),
-                      solve)
+    cases = (({"t": t}, geometry.space_from_points(base + t * delta, label="y")) for t in ts)
+    rows, ok = _sweep(fields, cases, solve)
     config = {"n": n, "ts": list(ts), "rho": rho, "eps": eps, "grid_k": grid_k,
               "grid_l": grid_l, "restarts": restarts}
     return _publish("perturb", out_dir, seed, fmt, config, [("perturb", rows, fields)],
@@ -518,8 +515,8 @@ def run_pu(
             pos = rng.normal(0.0, 0.3, size=(n_pos, 2))
             upos = rng.normal(0.0, 0.3, size=(n_unlabeled_pos, 2))
             uneg = rng.normal(2.5, 0.3, size=(n_unlabeled_neg, 2))
-            X = _cloud_space(pos, "positives")
-            Y = _cloud_space(np.vstack([upos, uneg]), "unlabeled")
+            X = geometry.space_from_points(pos, label="positives")
+            Y = geometry.space_from_points(np.vstack([upos, uneg]), label="unlabeled")
             for rho in rho_grid:
                 yield {"fold": fold, "rho": rho}, X, Y, rho
 

@@ -158,11 +158,7 @@ def balanced_indicator(a, b):
 
 @dataclass(frozen=True)
 class EntropySpec:
-    """An entropy phi with weight rho, its recession constant, and reverse psi.
-
-    ``recession`` is the slope of phi at infinity *before* the rho scaling;
-    the effective recession of rho*D_phi is rho*recession.
-    """
+    """An entropy kind (KL, TV or balanced) with its weight rho."""
 
     kind: str  # "kl" | "tv" | "balanced"
     rho: float = 1.0
@@ -172,42 +168,6 @@ class EntropySpec:
             raise ValueError(f"unknown entropy kind {self.kind!r}")
         if not (self.rho >= 0):
             raise ValueError("rho must be nonnegative")
-
-    @property
-    def recession(self):
-        # phi'_inf: inf for KL and Balanced, 1 for TV (unscaled)
-        return 1.0 if self.kind == "tv" else math.inf
-
-    def phi(self, r):
-        r = np.asarray(r, dtype=float)
-        if np.any(r < 0):
-            raise ValueError("phi is defined on r >= 0")
-        if self.kind == "kl":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = np.where(r > 0, r * np.log(np.where(r > 0, r, 1.0)) - r + 1.0, 1.0)
-            return out
-        if self.kind == "tv":
-            return np.abs(r - 1.0)
-        return np.where(r == 1.0, 0.0, math.inf)
-
-    def psi(self, r):
-        """Reverse entropy psi(r) = r phi(1/r), psi(0) = phi'_inf."""
-        r = np.asarray(r, dtype=float)
-        if np.any(r < 0):
-            raise ValueError("psi is defined on r >= 0")
-        if self.kind == "kl":
-            # psi(r) = r - log r - 1, psi(0) = +inf
-            with np.errstate(divide="ignore"):
-                out = np.where(r > 0, r - np.log(np.where(r > 0, r, 1.0)) - 1.0, math.inf)
-            return out
-        if self.kind == "tv":
-            return np.abs(1.0 - r)
-        return np.where(r == 1.0, 0.0, math.inf)
-
-    @property
-    def psi_recession(self):
-        # psi'_inf = phi(0)
-        return float(self.phi(0.0))
 
 
 def KL(rho=1.0):

@@ -211,22 +211,7 @@ def optimal_scale_linear(X, Y, pi, rho, details=False):
     residual = a * t + 2.0 * b * theta + c
     if not details:
         return theta
-    # sign-flipped variant (+W, argument b/a) kept for comparison; its
-    # residual shows whether it actually satisfies the FOC
-    if u > 650.0:
-        variant_theta = math.inf
-        variant_residual = math.inf
-    else:
-        variant_theta = math.exp(lambert_w((b / a) * math.exp(u)) + u)
-        variant_residual = a * math.log(variant_theta) + 2.0 * b * variant_theta + c
-    return theta, {
-        "a": a,
-        "b": b,
-        "c": c,
-        "foc_residual": residual,
-        "variant_theta": variant_theta,
-        "variant_residual": variant_residual,
-    }
+    return theta, {"a": a, "b": b, "c": c, "foc_residual": residual}
 
 
 def _halley_polish(w, log_z):

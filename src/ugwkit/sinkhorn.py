@@ -155,8 +155,10 @@ def uot_sinkhorn(
         rho2 = rho1
     if not eps > 0:
         raise ValueError("eps must be positive")
-    if rho1 < 0 or rho2 < 0:
+    if not (rho1 >= 0 and rho2 >= 0):
         raise ValueError("rho must be nonnegative")
+    if not max_inner >= 1:
+        raise ValueError("max_inner must be at least 1")
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost must be finite")
     if np.any(mu <= 0) or np.any(nu <= 0):

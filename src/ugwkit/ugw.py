@@ -66,10 +66,12 @@ class UgwConfig:
             object.__setattr__(self, "rho2", self.rho1)
         if not self.eps > 0:
             raise ValueError("eps must be positive")
-        if self.rho1 < 0 or self.rho2 < 0:
+        if not (self.rho1 >= 0 and self.rho2 >= 0):
             raise ValueError("rho must be nonnegative")
         if not (self.tol_plan > 0 and self.tol_pot > 0):
             raise ValueError("tolerances must be positive")
+        if not (self.max_outer >= 1 and self.max_inner >= 1):
+            raise ValueError("max_outer and max_inner must be at least 1")
 
     @property
     def balanced1(self):
@@ -200,10 +202,6 @@ def _log_gap(a, b):
     return float(np.max(np.abs(np.log(a[mask]) - np.log(b[mask]))))
 
 
-def _scaled_rho(rho, m):
-    return math.inf if math.isinf(rho) else rho * m
-
-
 def solve_ugw(X, Y, cfg, init_plan=None):
     """Alternate minimization of the biconvex relaxation (outer/inner loops).
 
@@ -250,8 +248,8 @@ def solve_ugw(X, Y, cfg, init_plan=None):
             cost,
             mu,
             nu,
-            _scaled_rho(cfg.rho1, m_pi),
-            _scaled_rho(cfg.rho2, m_pi),
+            cfg.rho1 * m_pi,
+            cfg.rho2 * m_pi,
             eps=cfg.eps * m_pi,
             init=Potentials(f, g),
             tol_pot=cfg.tol_pot,

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from ugwkit import app
+from ugwkit import app, geometry
 from ugwkit.app import (
     cgw_ugw_ratio,
     load_matrix,
@@ -151,8 +151,8 @@ class TestSerialization:
 class TestRatio:
     def test_generic_pair(self):
         rng = np.random.default_rng(7)
-        X = app._cloud_space(rng.normal(size=(3, 2)), "x")
-        Y = app._cloud_space(rng.normal(size=(3, 2)), "y")
+        X = geometry.space_from_points(rng.normal(size=(3, 2)), label="x")
+        Y = geometry.space_from_points(rng.normal(size=(3, 2)), label="y")
         ratio, sol, res = cgw_ugw_ratio(X, Y, rho=0.1, eps=1e-3, K=8, L=8, restarts=8)
         assert ratio == pytest.approx(res.cost / sol.primal_unregularized, rel=1e-12)
         assert ratio > 0

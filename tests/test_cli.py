@@ -279,6 +279,15 @@ class TestBadInput:
         ("graph-match", ["--rho-grid=-1"], "rho must be nonnegative"),
         ("pu", ["--rho-grid=-1"], "rho must be nonnegative"),
         ("ratio-hist", ["--rho", "0"], "rho must be positive"),
+        ("ratio-hist", ["--ns", "2.5"], "bad value for --ns"),
+        ("moons", ["--seeds", "1.7"], "bad value for --seeds"),
+        ("moons", ["--n", "2.5"], "bad value for --n"),
+        ("ugw", ["--rho", "nan"], "rho must be nonnegative"),
+        ("flb", ["--rho", "nan"], "rho must be nonnegative"),
+        ("ugw", ["--max-outer", "0"], "must be at least 1"),
+        ("uot", ["--max-inner", "0"], "must be at least 1"),
+        ("gen", ["--kind", "blob"], "unknown shape kind"),
+        ("ugw", ["--init", "random"], "unknown init"),
     ])
     def test_exits_2_with_one_line(self, command, argv, message, tmp_path, capsys):
         x_path, y_path = _space_files(tmp_path)
@@ -286,9 +295,27 @@ class TestBadInput:
         inputs = {"uot": ["--cost", cost, "--mu", mu, "--nu", nu],
                   "ugw": ["--x", x_path, "--y", y_path],
                   "cgw": ["--x", x_path, "--y", y_path],
-                  "moons": [], "graph-match": [], "pu": [], "ratio-hist": []}[command]
+                  "flb": ["--x", x_path, "--y", y_path],
+                  "moons": [], "graph-match": [], "pu": [], "ratio-hist": [],
+                  "gen": []}[command]
         with pytest.raises(SystemExit) as exc:
             main([command, *inputs, *argv, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, line, message", [
+        ("moons", "n = 2.5", "bad value for --n"),
+        ("ratio-hist", "ns = 2.5", "bad value for --ns"),
+        ("moons", "seeds = 1, 1.7", "bad value for --seeds"),
+    ])
+    def test_config_value_exits_2_with_one_line(self, command, line, message, tmp_path,
+                                                capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), "--out", str(tmp_path)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err

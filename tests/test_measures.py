@@ -103,40 +103,12 @@ class TestTransportPlan:
 
 class TestEntropySpec:
     def test_kinds_and_recession(self):
-        assert KL().recession == math.inf
-        assert TV().recession == 1.0
-        assert BALANCED().recession == math.inf
+        assert (KL().kind, TV().kind, BALANCED().kind) == ("kl", "tv", "balanced")
+        assert BALANCED().rho == math.inf
         with pytest.raises(ValueError):
             EntropySpec("huber")
         with pytest.raises(ValueError):
             EntropySpec("kl", rho=-1.0)
-
-    def test_phi_values(self):
-        r = np.array([0.0, 0.5, 1.0, 2.0])
-        np.testing.assert_allclose(
-            KL().phi(r), [1.0, 0.5 * math.log(0.5) + 0.5, 0.0, 2.0 * math.log(2.0) - 1.0]
-        )
-        np.testing.assert_allclose(TV().phi(r), [1.0, 0.5, 0.0, 1.0])
-        bal = BALANCED().phi(r)
-        assert bal[2] == 0.0 and math.isinf(bal[0]) and math.isinf(bal[3])
-
-    def test_psi_is_reverse_of_phi(self):
-        for spec in (KL(), TV()):
-            for r in (0.25, 0.5, 1.0, 3.0):
-                assert spec.psi(r) == pytest.approx(r * float(spec.phi(1.0 / r)), rel=1e-12)
-        assert math.isinf(KL().psi(0.0))
-        assert TV().psi(0.0) == 1.0
-
-    def test_psi_recession_is_phi_at_zero(self):
-        assert KL().psi_recession == 1.0
-        assert TV().psi_recession == 1.0
-        assert math.isinf(BALANCED().psi_recession)
-
-    def test_phi_rejects_negative(self):
-        with pytest.raises(ValueError):
-            KL().phi(-0.5)
-        with pytest.raises(ValueError):
-            KL().psi(-0.5)
 
 
 class TestCsiszarDiv:

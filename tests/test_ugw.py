@@ -35,6 +35,14 @@ class TestUgwConfig:
             UgwConfig(rho1=-1.0)
         with pytest.raises(ValueError):
             UgwConfig(tol_plan=0.0)
+        with pytest.raises(ValueError):
+            UgwConfig(rho1=math.nan)
+        with pytest.raises(ValueError):
+            UgwConfig(rho2=math.nan)
+        with pytest.raises(ValueError):
+            UgwConfig(max_outer=0)
+        with pytest.raises(ValueError):
+            UgwConfig(max_inner=0)
 
 
 class TestDistortionCost:
