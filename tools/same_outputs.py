@@ -1,0 +1,149 @@
+"""Check that two ugwkit source trees give the same command-line outputs.
+
+    python tools/same_outputs.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories holding the ``ugwkit`` package (the
+``src`` directory of a checkout). Every subcommand runs at a small setting,
+once per tree, each run in a fresh interpreter with that tree alone on
+PYTHONPATH and its own empty working directory: the six experiment drivers
+in CSV and in JSON; the five drivers that sweep trials again at eps = 1e-300,
+where some or all trials raise (the plan overflows) and are recorded as
+error rows; then the solver commands on small spaces written here with
+numpy. For each run the exit code, stdout, stderr and every file written are
+compared byte for byte. One line is printed per run; the exit code is 1 if
+anything differs.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+DRIVERS = [
+    ["ratio-hist", "--ns", "2,3", "--trials", "2", "--grid-k", "4", "--grid-l", "4",
+     "--restarts", "2"],
+    ["perturb", "--n", "3", "--ts", "0,0.1", "--grid-k", "4", "--grid-l", "4",
+     "--restarts", "2"],
+    ["moons", "--n", "8", "--n-outliers", "2", "--rhos", "1,0.1", "--seeds", "0,1",
+     "--max-outer", "30"],
+    ["graph-match", "--n", "8", "--n-outliers", "2", "--eps-grid", "0.1",
+     "--rho-grid", "1,inf", "--max-outer", "30"],
+    ["scale-bias", "--n", "4", "--kappas", "0.5,2"],
+    ["pu", "--folds", "1", "--n-pos", "5", "--n-unlabeled-pos", "5", "--n-unlabeled-neg", "3",
+     "--rho-grid", "0.05,0.5", "--max-outer", "30"],
+]
+
+# the same drivers with some or all trials raising inside the sweep
+FAILING = [
+    ["ratio-hist", "--ns", "2,3", "--trials", "2", "--eps", "1e-300", "--grid-k", "4",
+     "--grid-l", "4", "--restarts", "2"],
+    ["perturb", "--n", "3", "--ts", "0,0.1", "--eps", "1e-300", "--grid-k", "4",
+     "--grid-l", "4", "--restarts", "2"],
+    ["moons", "--n", "8", "--n-outliers", "2", "--rhos", "1", "--eps", "1e-300",
+     "--max-outer", "5"],
+    ["graph-match", "--n", "8", "--n-outliers", "2", "--eps-grid", "1e-300,0.1",
+     "--rho-grid", "1", "--max-outer", "30"],
+    ["pu", "--folds", "1", "--n-pos", "5", "--n-unlabeled-pos", "5", "--n-unlabeled-neg", "3",
+     "--rho-grid", "0.05", "--eps", "1e-300", "--max-outer", "5"],
+]
+
+
+def write_inputs(root):
+    """Two small spaces, the second also as a CSV matrix with a weights file,
+    and a cost matrix with two weight vectors; returns their paths."""
+    rng = np.random.default_rng(0)
+    paths = {}
+    for key, n in (("x", 4), ("y", 5)):
+        pts = rng.normal(size=(n, 2))
+        dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+        weights = np.full(n, 1.0 / n)
+        paths[key] = os.path.join(root, f"{key}.json")
+        with open(paths[key], "w") as fh:
+            json.dump({"dist": dist.tolist(), "weights": weights.tolist(), "label": key}, fh)
+        paths[f"{key}_csv"] = os.path.join(root, f"{key}.csv")
+        paths[f"{key}_weights"] = os.path.join(root, f"{key}_weights.txt")
+        np.savetxt(paths[f"{key}_csv"], dist, delimiter=",")
+        np.savetxt(paths[f"{key}_weights"], weights)
+    paths["cost"] = os.path.join(root, "cost.csv")
+    paths["mu"] = os.path.join(root, "mu.txt")
+    paths["nu"] = os.path.join(root, "nu.txt")
+    np.savetxt(paths["cost"], rng.uniform(size=(3, 4)), delimiter=",")
+    np.savetxt(paths["mu"], np.full(3, 0.4))
+    np.savetxt(paths["nu"], np.full(4, 0.3))
+    return paths
+
+
+def solver_runs(p):
+    pair = ["--x", p["x"], "--y", p["y"]]
+    return [
+        ["uot", "--cost", p["cost"], "--mu", p["mu"], "--nu", p["nu"], "--rho", "0.5",
+         "--eps", "0.05"],
+        ["ugw", *pair, "--rho", "0.5", "--eps", "0.05"],
+        ["ugw", *pair, "--eps", "0.05", "--debias", "--init", "flb"],
+        ["ugw", "--x", p["x_csv"], "--x-weights", p["x_weights"], "--y", p["y"],
+         "--rho", "1", "--rho2", "0.5", "--eps", "0.1", "--max-outer", "5"],
+        ["gw", *pair, "--eps", "0.05"],
+        ["flb", *pair, "--rho", "1", "--rho2", "0.5"],
+        ["cgw", *pair, "--rho", "0.5", "--grid-k", "4", "--grid-l", "4", "--restarts", "3",
+         "--with-ugw", "--eps", "0.01"],
+        ["cgw", *pair, "--grid-k", "4", "--grid-l", "4", "--restarts", "3"],
+        ["scale", *pair, "--rho", "0.1", "--kappas", "0.5,2"],
+        ["scale", *pair, "--format", "json"],
+        ["gen", "--kind", "two_moons_outliers", "--n", "10", "--n-outliers", "2"],
+        ["gen", "--kind", "ellipse2d", "--n", "6", "--format", "json"],
+        ["gen", "--kind", "community_graph", "--n", "9"],
+    ]
+
+
+def run(src, argv, work):
+    """Run one command in a fresh interpreter; returns exit code, streams, files."""
+    os.makedirs(work)
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    proc = subprocess.run([sys.executable, "-m", "ugwkit.cli", *argv, "--out", "out"],
+                          cwd=work, env=env, capture_output=True, timeout=600)
+    files = {}
+    for base, _, names in os.walk(work):
+        for name in names:
+            path = os.path.join(base, name)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, work)] = fh.read()
+    return {"exit code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr,
+            "files": files}
+
+
+def differences(old, new):
+    diffs = [key for key in ("exit code", "stdout", "stderr") if old[key] != new[key]]
+    for name in sorted(set(old["files"]) | set(new["files"])):
+        if old["files"].get(name) != new["files"].get(name):
+            diffs.append(name)
+    return diffs
+
+
+def main(argv=None):
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    old_src, new_src = args
+    with tempfile.TemporaryDirectory() as root:
+        inputs = write_inputs(root)
+        runs = [[*cmd, "--format", fmt] for cmd in DRIVERS for fmt in ("csv", "json")]
+        runs += FAILING + solver_runs(inputs)
+        same = True
+        for i, cmd in enumerate(runs):
+            old = run(old_src, cmd, os.path.join(root, f"old{i}"))
+            new = run(new_src, cmd, os.path.join(root, f"new{i}"))
+            diffs = differences(old, new)
+            same = same and not diffs
+            shown = " ".join(os.path.basename(a) if os.sep in a else a for a in cmd)
+            verdict = "differs: " + ", ".join(diffs) if diffs else "identical"
+            print(f"{shown}: exit {new['exit code']}, {len(new['files'])} files, {verdict}")
+    print("all identical" if same else "outputs differ")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
