@@ -19,7 +19,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import geometry
-from .conic import ConeMetricSpec, solve_cgw
+from .conic import ConeMetricSpec, check_grid, solve_cgw
 from .measures import MmSpace, TransportPlan
 from .scaling import scaling_bias_report
 from .ugw import UgwConfig, debiased_ugw, distortion_cost, solve_ugw
@@ -217,6 +217,7 @@ def cgw_ugw_ratio(X, Y, rho, eps=1e-2, K=10, L=10, restarts=20, seed=0, tol_pot=
     """
     cfg = cfg or UgwConfig(eps=eps, rho1=rho, rho2=rho, tol_pot=tol_pot)
     spec = spec or ConeMetricSpec("gh", rho=rho)
+    check_grid(K, L, restarts)
     sol = solve_ugw(X, Y, cfg)
     res = solve_cgw(X, Y, spec, K=K, L=L, restarts=restarts, seed=seed)
     return _floored_ratio(res.cost, sol.primal_unregularized), sol, res
@@ -281,6 +282,7 @@ def run_perturb(
     X = geometry.space_from_points(base, label="x")
     cfg = UgwConfig(eps=eps, rho1=rho, rho2=rho, tol_pot=1e-11)
     spec = ConeMetricSpec("gh", rho=rho)
+    check_grid(grid_k, grid_l, restarts)
 
     def solve(Y):
         deb = debiased_ugw(X, Y, cfg)
@@ -312,6 +314,7 @@ def run_ratio_hist(
     """Histogram of grid-to-quadratic cost ratios over random pairs."""
     cfg = UgwConfig(eps=eps, rho1=rho, rho2=rho, tol_pot=1e-11)
     spec = ConeMetricSpec("gh", rho=rho)
+    check_grid(grid_k, grid_l, restarts)
     ratios = {n: [] for n in ns}
 
     def cases():

@@ -130,11 +130,15 @@ def _passes_on(source, *names):
     return wrap
 
 
-def _load_space(path, weights, label):
+def _load(loader, path, what, *args):
     try:
-        X = app.load_space(path, weights)
+        return loader(path, *args)
     except (OSError, ValueError) as exc:
-        _fail(f"cannot load space from {path}: {exc}")
+        _fail(f"cannot load {what} from {path}: {exc}")
+
+
+def _load_space(path, weights, label):
+    X = _load(app.load_space, path, "space", weights)
     if X.label is None:
         return MmSpace(X.dist, X.weights, label)
     return X
@@ -185,9 +189,9 @@ def cmd_uot(out_dir, seed, fmt, cost, mu, nu, rho=1.0, rho2: float = None, **sin
 
     cost is a matrix CSV, mu and nu weight files; rho2 defaults to rho.
     """
-    cost = app.load_matrix(cost)
-    mu = app.load_weights(mu)
-    nu = app.load_weights(nu)
+    cost = _load(app.load_matrix, cost, "cost matrix")
+    mu = _load(app.load_weights, mu, "weights")
+    nu = _load(app.load_weights, nu, "weights")
     res = uot_sinkhorn(cost, mu, nu, rho, rho if rho2 is None else rho2, **sinkhorn)
     app.save_plan(res.plan, os.path.join(out_dir, "uot_plan.csv"))
     summary = {"plan_mass": res.plan.mass, "iterations": res.iterations,

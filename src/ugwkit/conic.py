@@ -430,6 +430,14 @@ class CgwResult:
     restart_log: list = field(default_factory=list)
 
 
+def check_grid(K, L, restarts):
+    """Raise ValueError unless the grid sizes and the restart count are at least 1."""
+    if K < 1 or L < 1:
+        raise ValueError("K and L must be at least 1")
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
+
+
 def solve_cgw(X, Y, spec=None, K=10, L=10, restarts=20, seed=0, max_rounds=200, tol=1e-9):
     """Grid matching solver: alternate LPs from multiple feasible starts.
 
@@ -447,8 +455,7 @@ def solve_cgw(X, Y, spec=None, K=10, L=10, restarts=20, seed=0, max_rounds=200, 
         spec = ConeMetricSpec("gh", rho=1.0)
     if spec.setting != "gh":
         raise ValueError("the grid solver is wired for the GH setting")
-    if K < 1 or L < 1:
-        raise ValueError("K and L must be at least 1")
+    check_grid(K, L, restarts)
     mu, nu = X.weights, Y.weights
     R = math.sqrt(X.mass**2 + Y.mass**2)
     r = np.arange(K + 1) * (R / K)

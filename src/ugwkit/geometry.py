@@ -11,6 +11,7 @@ All generators are deterministic functions of (kind, n, seed).
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -28,16 +29,6 @@ __all__ = [
     "space_from_graph",
     "SHAPE_KINDS",
 ]
-
-SHAPE_KINDS = (
-    "ellipse2d",
-    "ellipse3d",
-    "square",
-    "sphere",
-    "two_moons_outliers",
-    "community_graph",
-)
-
 
 @dataclass
 class PointCloud:
@@ -202,6 +193,17 @@ def _community_graph(n, rng, sizes=None, n_outliers=2, intra=1.0, inter=4.0, to_
     return WeightedGraph(total, edges, tags)
 
 
+_SAMPLERS = {
+    "ellipse2d": _ellipse2d,
+    "ellipse3d": _ellipse3d,
+    "square": _square,
+    "sphere": _sphere,
+    "two_moons_outliers": _two_moons_outliers,
+    "community_graph": _community_graph,
+}
+SHAPE_KINDS = tuple(_SAMPLERS)
+
+
 def gen_shape(kind, n, seed, **params):
     """Deterministic shape sampler; returns a PointCloud or WeightedGraph.
 
@@ -209,23 +211,20 @@ def gen_shape(kind, n, seed, **params):
       two_moons_outliers: n_outliers (default 3), noise, outlier_box
       community_graph: sizes, n_outliers (default 2), intra, inter, to_outlier
       ellipse2d / ellipse3d: axes; sphere: radius
+    A parameter the kind does not take is a ValueError.
     """
     if kind not in SHAPE_KINDS:
         raise ValueError(f"unknown shape kind {kind!r}; choose from {SHAPE_KINDS}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    if kind == "ellipse2d":
-        return PointCloud(_ellipse2d(n, rng, **params))
-    if kind == "ellipse3d":
-        return PointCloud(_ellipse3d(n, rng, **params))
-    if kind == "square":
-        return PointCloud(_square(n, rng, **params))
-    if kind == "sphere":
-        return PointCloud(_sphere(n, rng, **params))
-    if kind == "two_moons_outliers":
-        return _two_moons_outliers(n, rng, **params)
-    return _community_graph(n, rng, **params)
+    sampler = _SAMPLERS[kind]
+    takes = list(inspect.signature(sampler).parameters)[2:]  # after n and rng
+    for name in params:
+        if name not in takes:
+            raise ValueError(f"shape kind {kind!r} takes no parameter {name!r}; "
+                             f"it takes {', '.join(takes) or 'none'}")
+    shape = sampler(n, np.random.default_rng(seed), **params)
+    return shape if isinstance(shape, (PointCloud, WeightedGraph)) else PointCloud(shape)
 
 
 def space_from_points(cloud, weights=None, label=None):

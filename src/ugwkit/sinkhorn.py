@@ -1,4 +1,4 @@
-"""Log-domain stabilized unbalanced Sinkhorn iterations.
+"""Log-stabilized unbalanced Sinkhorn iterations.
 
 Solves the entropic unbalanced OT problem
 
@@ -13,10 +13,29 @@ where LSE is the max-shifted log-sum-exp. rho = inf is the balanced mode: the
 damping factor rho/(eps + rho) becomes 1. The plan is recovered as
 pi_ij = exp((f_i + g_j - c_ij)/eps) mu_i nu_j.
 
-The loop always runs in the log domain. The kernels log nu_j - c_ij/eps and
-log mu_i - c_ij/eps (the latter stored transposed, so both reductions run
-along contiguous rows) are built once per call, and each half-sweep is one
-add, row max, in-place exp, sum and log into a preallocated buffer.
+Each half-sweep is one kernel matrix-vector product, log-stabilized with
+absorption (Chizat, Peyre, Schmitzer & Vialard, arXiv 1607.05816, Alg. 2;
+Schmitzer, arXiv 1610.06519, Sec. 3). The log kernels k_ij = log nu_j - c_ij/eps
+and log mu_i - c_ij/eps (the latter stored transposed, so both products run
+along contiguous rows) are built once per call. For the f update, the kernel
+is absorbed at a reference point r = g/eps:
+
+    K_ij = exp(k_ij + r_j - top_i),   top_i = max_j (k_ij + r_j),
+
+so every entry is at most 1 and each row holds a 1. With h = g/eps,
+
+    LSE_j[k_ij + h_j] = top_i + log (K exp(h - r))_i,
+
+which costs one exp and one log of a vector and one product with K. The
+product stays accurate while h is near r, so K, top and r are rebuilt at h
+(one max-shifted exp over all n m cells, the cost of a plain log-domain
+half-sweep) at the first half-sweep of every call and whenever the drift
+||h - r||_2 passes DRIFT. An entry of K below e^-745 is stored as 0, and one
+below e^-708 with less than full precision; after a drift of at most
+DRIFT = 100 such an entry's term is at most e^(200 - 708) times the largest
+term of its row, so what the product loses is far below roundoff. A drift
+too large to square overflows to inf and so absorbs, without a warning. The
+g update is the same with the roles of f and g swapped.
 
 Each half-sweep is over-relaxed, f <- f + omega (T(f) - f) (Thibault, Chizat,
 Dossal & Papadakis, arXiv 1711.01851; Lehmann et al., arXiv 2012.12562).
@@ -78,6 +97,9 @@ WARMUP = 8
 # over-relaxation 2 / (1 + sqrt(1 - theta)) - 1 that is used.
 THETA_MAX = 0.9999
 OMEGA_SHARE = 0.95
+# Drift of the scaled potentials (f/eps or g/eps) from the point a kernel was
+# absorbed at, past which it is absorbed again (see the module docstring).
+DRIFT = 100.0
 
 
 def _omega_for(theta):
@@ -120,13 +142,32 @@ def _safe_step(omega, eps, rho):
     return (1.0 - (omega - 1.0) ** 2) * min(eps, rho)
 
 
-def _lse_rows(kernel, shift, buf):
-    # log sum_j exp(kernel_ij + shift_j) per row, max-shifted, into buf
+def _lse_rows(kernel, shift, buf, top=None):
+    # log sum_j exp(kernel_ij + shift_j) per row, max-shifted; leaves the row
+    # max in top and exp(kernel_ij + shift_j - top_i) in buf
     np.add(kernel, shift, out=buf)
-    top = buf.max(axis=1)
+    top = buf.max(axis=1, out=top)
     buf -= top[:, None]
     np.exp(buf, out=buf)
     return np.log(buf.sum(axis=1)) + top
+
+
+def _lse_absorbed(kernel, h, K, top, ref):
+    """log sum_j exp(kernel_ij + h_j) per row, through the kernel absorbed at ref.
+
+    K_ij = exp(kernel_ij + ref_j - top_i) with top_i the row max, so the sum is
+    top + log(K @ exp(h - ref)). Once h is more than DRIFT from ref (in the
+    2-norm; a NaN ref, as before the first sweep, always is), K, top and ref
+    are rebuilt at h first, and that sweep's sum is the max-shifted one.
+    """
+    d = h - ref
+    if d.dot(d) <= DRIFT * DRIFT:
+        out = K.dot(np.exp(d))
+        np.log(out, out=out)
+        out += top
+        return out
+    ref[:] = h
+    return _lse_rows(kernel, h, K, top)
 
 
 def uot_sinkhorn(
@@ -172,8 +213,9 @@ def uot_sinkhorn(
     # row i of k_row is log nu - cost_i./eps, row j of k_col is log mu - cost_.j/eps
     k_row = np.log(nu)[None, :] - cost / eps
     k_col = np.ascontiguousarray((np.log(mu)[:, None] - cost / eps).T)
-    buf_row = np.empty_like(k_row)
-    buf_col = np.empty_like(k_col)
+    # each kernel absorbed at a reference point: NaN until the first sweep
+    K_row, top_row, ref_row = np.empty_like(k_row), np.empty(n), np.full(m, math.nan)
+    K_col, top_col, ref_col = np.empty_like(k_col), np.empty(m), np.full(n, math.nan)
 
     if init is None:
         f = np.zeros(n)
@@ -188,30 +230,33 @@ def uot_sinkhorn(
     safe1 = safe2 = 0.0
     window = []
     it = 0
-    for it in range(1, max_inner + 1):
-        tf = -fact1 * _lse_rows(k_row, g / eps, buf_row)
-        step = tf - f
-        residual = float(np.max(np.abs(step)))
-        if not math.isfinite(residual):
-            raise FloatingPointError("non-finite potential: cost scale is too large for this eps")
-        converged = residual <= tol_pot
-        if converged or it == max_inner:
-            omega = 1.0
-        f = tf if omega == 1.0 or residual > safe1 else f + omega * step
-        tg = -fact2 * _lse_rows(k_col, f / eps, buf_col)
-        if omega == 1.0:
-            g = tg
-        else:
-            step = tg - g
-            g = tg if float(np.max(np.abs(step))) > safe2 else g + omega * step
-        if converged:
-            break
-        window.append(residual)
-        if len(window) == WARMUP:
-            omega = _next_omega(omega, window)
-            safe1 = _safe_step(omega, eps, rho1)
-            safe2 = _safe_step(omega, eps, rho2)
-            window = []
+    # a drift too large to square overflows to inf, which absorbs
+    with np.errstate(over="ignore"):
+        for it in range(1, max_inner + 1):
+            tf = -fact1 * _lse_absorbed(k_row, g / eps, K_row, top_row, ref_row)
+            step = tf - f
+            residual = float(abs(step).max())
+            if not math.isfinite(residual):
+                raise FloatingPointError(
+                    "non-finite potential: cost scale is too large for this eps")
+            converged = residual <= tol_pot
+            if converged or it == max_inner:
+                omega = 1.0
+            f = tf if omega == 1.0 or residual > safe1 else f + omega * step
+            tg = -fact2 * _lse_absorbed(k_col, f / eps, K_col, top_col, ref_col)
+            if omega == 1.0:
+                g = tg
+            else:
+                step = tg - g
+                g = tg if float(abs(step).max()) > safe2 else g + omega * step
+            if converged:
+                break
+            window.append(residual)
+            if len(window) == WARMUP:
+                omega = _next_omega(omega, window)
+                safe1 = _safe_step(omega, eps, rho1)
+                safe2 = _safe_step(omega, eps, rho2)
+                window = []
     if not np.all(np.isfinite(g)):
         raise FloatingPointError("non-finite potential: cost scale is too large for this eps")
 

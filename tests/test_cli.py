@@ -288,6 +288,16 @@ class TestBadInput:
         ("uot", ["--max-inner", "0"], "must be at least 1"),
         ("gen", ["--kind", "blob"], "unknown shape kind"),
         ("ugw", ["--init", "random"], "unknown init"),
+        ("cgw", ["--restarts", "0"], "restarts must be at least 1"),
+        ("cgw", ["--restarts", "0", "--with-ugw"], "restarts must be at least 1"),
+        ("ratio-hist", ["--restarts", "0"], "restarts must be at least 1"),
+        ("perturb", ["--restarts", "0"], "restarts must be at least 1"),
+        ("gen", ["--kind", "ellipse2d", "--n", "5", "--n-outliers", "2"],
+         "takes no parameter 'n_outliers'"),
+        ("gen", ["--kind", "square", "--noise", "0.1"], "takes no parameter 'noise'"),
+        ("uot", ["--cost", "no_such_cost.csv"], "cannot load cost matrix from no_such_cost.csv"),
+        ("uot", ["--mu", "no_such_mu.csv"], "cannot load weights from no_such_mu.csv"),
+        ("uot", ["--nu", "no_such_nu.csv"], "cannot load weights from no_such_nu.csv"),
     ])
     def test_exits_2_with_one_line(self, command, argv, message, tmp_path, capsys):
         x_path, y_path = _space_files(tmp_path)
@@ -297,7 +307,7 @@ class TestBadInput:
                   "cgw": ["--x", x_path, "--y", y_path],
                   "flb": ["--x", x_path, "--y", y_path],
                   "moons": [], "graph-match": [], "pu": [], "ratio-hist": [],
-                  "gen": []}[command]
+                  "perturb": [], "gen": []}[command]
         with pytest.raises(SystemExit) as exc:
             main([command, *inputs, *argv, "--out", str(tmp_path)])
         assert exc.value.code == 2

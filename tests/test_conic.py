@@ -394,3 +394,5 @@ class TestSolveCgw:
             solve_cgw(X, X, spec=ConeMetricSpec("hk"))
         with pytest.raises(ValueError):
             solve_cgw(X, X, K=0)
+        with pytest.raises(ValueError, match="restarts must be at least 1"):
+            solve_cgw(X, X, restarts=0)

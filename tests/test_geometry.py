@@ -46,6 +46,14 @@ def test_gen_shape_rejects_unknown_kind():
         gen_shape("square", 0, seed=0)
 
 
+def test_gen_shape_rejects_a_parameter_the_kind_does_not_take():
+    with pytest.raises(ValueError, match="'ellipse2d' takes no parameter 'n_outliers'"):
+        gen_shape("ellipse2d", 5, seed=0, n_outliers=2)
+    with pytest.raises(ValueError, match="'square' takes no parameter 'noise'"):
+        gen_shape("square", 5, seed=0, noise=0.1)
+    assert gen_shape("sphere", 5, seed=0, radius=2.0).n == 5
+
+
 def test_pairwise_euclidean_matches_direct():
     rng = np.random.default_rng(0)
     pts = rng.normal(size=(7, 3))

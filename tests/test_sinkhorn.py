@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,40 @@ class TestFusedKernel:
         assert res.iterations == sweeps
         np.testing.assert_allclose(res.potentials.f, f, rtol=0, atol=1e-13)
         np.testing.assert_allclose(res.potentials.g, g, rtol=0, atol=1e-13)
+
+    def test_kernel_absorbed_many_times_matches_oracle(self, monkeypatch):
+        # a cold start at cost/eps up to 1e6: the scaled potentials drift far
+        # past DRIFT, so the kernels are absorbed again and again
+        monkeypatch.setattr(sinkhorn, "WARMUP", 10**9)
+        absorbed = []
+
+        def counting_lse_rows(*args):
+            absorbed.append(1)
+            return _lse_rows(*args)
+
+        monkeypatch.setattr(sinkhorn, "_lse_rows", counting_lse_rows)
+        rng = np.random.default_rng(6)
+        cost = rng.uniform(0.0, 1e3, size=(5, 5))
+        mu = np.full(5, 0.2)
+        zero = np.zeros(5)
+        f, g, sweeps = oracles.sinkhorn_log_loop(cost, mu, mu, 1.0, 1.0, 1e-3, zero, zero,
+                                                 1e-9, 50000)
+        res = uot_sinkhorn(cost, mu, mu, 1.0, eps=1e-3, tol_pot=1e-9, max_inner=50000)
+        assert len(absorbed) > 10
+        assert res.iterations == sweeps
+        np.testing.assert_allclose(res.potentials.f, f, rtol=0, atol=1e-12 * 1e3)
+        np.testing.assert_allclose(res.potentials.g, g, rtol=0, atol=1e-12 * 1e3)
+
+    def test_tiny_eps_raises_without_warnings(self):
+        # at eps = 1e-300 the scaled potentials are near 1e300, so their drift
+        # cannot be squared; that must absorb quietly and end as before
+        rng = np.random.default_rng(10)
+        cost = rng.uniform(size=(16, 16))
+        mu = np.full(16, 1.0 / 16.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="plan overflow"):
+                uot_sinkhorn(cost, mu, mu, 1.0, eps=1e-300)
 
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_relaxed_kernel_reaches_the_same_fixed_point(self, case):
