@@ -52,16 +52,6 @@ _SETTINGS = {
     "ptv": ("tv", 1.0, 2.0),
 }
 
-_ALIASES = {
-    "gaussianhellinger": "gh",
-    "gaussian_hellinger": "gh",
-    "hellingerkantorovich": "hk",
-    "hellinger_kantorovich": "hk",
-    "partialtv": "ptv",
-    "partial_tv": "ptv",
-}
-
-
 @dataclass(frozen=True)
 class ConeMetricSpec:
     """Cone distance setting: divergence, base-distance map, exponents."""
@@ -71,7 +61,7 @@ class ConeMetricSpec:
     q: float = 2.0
 
     def __post_init__(self):
-        key = _ALIASES.get(self.setting.lower(), self.setting.lower())
+        key = self.setting.lower()
         if key not in _SETTINGS:
             raise ValueError(f"unknown cone setting {self.setting!r}")
         object.__setattr__(self, "setting", key)

@@ -5,15 +5,15 @@ strictly unimodal in log theta for both functionals handled here:
 
 * the quadratic one (distortion plus quadratic divergences, optionally an
   entropic quadratic term), where the profile collapses to
-  G(theta) = theta^2 (A + B log theta) + const and the stationary point is
-  log-linear in the data sums;
+  G(theta) = theta^2 (A + B log theta) + const with B > 0, so its one
+  stationary point log theta = -(2A + B) / (2B) is the minimum and is
+  returned as is;
 * the one with plain (non-quadratic) KL penalties, whose stationarity
   condition a log(theta) + 2 b theta + c = 0 is solved through the Lambert
-  W function.
+  W function and polished by a safeguarded Newton iteration on the
+  stationarity residual.
 
-Closed forms are never trusted blindly: the quadratic path is checked
-against a golden-section search of the actual profile, and the linear path
-against a safeguarded Newton iteration on the stationarity residual.
+Both report that first-order residual with details=True.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .measures import MmSpace, plan_values, quad_kl, xlogy_sum
+from .measures import MmSpace, plan_values, xlogy_sum
 from .ugw import distortion_cost
 
 __all__ = [
@@ -61,22 +59,16 @@ def lambert_w(z, tol=1e-15, max_iter=64):
     return w
 
 
-def _golden_min(f, lo, hi, iters=200):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    return 0.5 * (a + b)
+def _plan_terms(X, Y, pi):
+    """Plan matrix, mass m, distortion b and the two marginal log sums."""
+    P = plan_values(pi)
+    m = float(P.sum())
+    if not m > 0:
+        raise ValueError("the plan must carry positive mass")
+    b = distortion_cost(X.dist, Y.dist, P)
+    s1 = xlogy_sum(P.sum(axis=1), X.weights)
+    s2 = xlogy_sum(P.sum(axis=0), Y.weights)
+    return P, m, b, s1, s2
 
 
 def _quad_profile(X, Y, pi, rho, eps):
@@ -87,78 +79,37 @@ def _quad_profile(X, Y, pi, rho, eps):
     cancel), with the data entering through the distortion b and the
     relative-entropy sums of the marginals and the plan.
     """
-    P = plan_values(pi)
-    mu, nu = X.weights, Y.weights
-    m = float(P.sum())
-    if not m > 0:
-        raise ValueError("the plan must carry positive mass")
-    b = distortion_cost(X.dist, Y.dist, P)
-    s1 = xlogy_sum(P.sum(axis=1), mu)
-    s2 = xlogy_sum(P.sum(axis=0), nu)
-    se = xlogy_sum(P, mu[:, None] * nu[None, :]) if eps > 0 else 0.0
+    P, m, b, s1, s2 = _plan_terms(X, Y, pi)
+    se = xlogy_sum(P, X.weights[:, None] * Y.weights[None, :]) if eps > 0 else 0.0
     B = 2.0 * m * m * (2.0 * rho + eps)
     A = b + 2.0 * m * (rho * s1 + rho * s2 + eps * se) - 0.5 * B
-    return A, B, b
-
-
-def _quad_value(X, Y, P, rho, eps, b, theta):
-    mu, nu = X.weights, Y.weights
-    tP = theta * P
-    val = theta * theta * b
-    val += rho * quad_kl(tP.sum(axis=1), mu)
-    val += rho * quad_kl(tP.sum(axis=0), nu)
-    if eps > 0:
-        val += eps * quad_kl(tP.ravel(), (mu[:, None] * nu[None, :]).ravel())
-    return val
+    return A, B
 
 
 def optimal_scale_quadratic(X, Y, pi, rho, eps=0.0, details=False):
     """argmin_theta of the quadratic functional at theta * pi.
 
-    The log-linear closed form is cross-checked against a golden-section
-    search of the profile over log theta in [-14, 14]; on disagreement
-    beyond 1e-6 relative the search result wins and the discrepancy is
-    flagged in the details.
+    The profile is G(theta) = theta^2 (A + B log theta) + const with B > 0,
+    whose derivative theta (2A + B + 2B log theta) changes sign once, so
+    theta = exp(-(2A + B) / (2B)) is the global minimum. details=True adds
+    that derivative at the returned theta as "foc_residual".
     """
     if not rho > 0:
         raise ValueError("rho must be positive")
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    P = plan_values(pi)
-    A, B, b = _quad_profile(X, Y, pi, rho, eps)
-    log_closed = -(2.0 * A + B) / (2.0 * B)
-    theta_closed = math.exp(log_closed)
-
-    def profile(t):
-        return _quad_value(X, Y, P, rho, eps, b, math.exp(t))
-
-    theta_oracle = math.exp(_golden_min(profile, -14.0, 14.0))
-    mismatch = abs(theta_closed - theta_oracle) / max(theta_oracle, 1e-300)
-    flagged = mismatch > 1e-6
-    theta = theta_oracle if flagged else theta_closed
+    A, B = _quad_profile(X, Y, pi, rho, eps)
+    theta = math.exp(-(2.0 * A + B) / (2.0 * B))
     if not details:
         return theta
-    residual = theta * (2.0 * A + B + 2.0 * B * math.log(theta))
-    return theta, {
-        "theta_closed": theta_closed,
-        "theta_oracle": theta_oracle,
-        "mismatch": mismatch,
-        "flagged": flagged,
-        "foc_residual": residual,
-    }
+    return theta, {"foc_residual": theta * (2.0 * A + B + 2.0 * B * math.log(theta))}
 
 
 def _linear_foc_terms(X, Y, pi, rho):
-    P = plan_values(pi)
-    m = float(P.sum())
-    if not m > 0:
-        raise ValueError("the plan must carry positive mass")
-    a = 2.0 * rho * m
+    _, m, b, s1, s2 = _plan_terms(X, Y, pi)
     # the quadratic distortion is nonnegative; clip away roundoff so the
     # root finder keeps a monotone objective
-    b = max(distortion_cost(X.dist, Y.dist, P), 0.0)
-    c = rho * (xlogy_sum(P.sum(axis=1), X.weights) + xlogy_sum(P.sum(axis=0), Y.weights))
-    return a, b, c
+    return 2.0 * rho * m, max(b, 0.0), rho * (s1 + s2)
 
 
 def _newton_log_root(a, b, c, t0):

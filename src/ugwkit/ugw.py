@@ -147,33 +147,19 @@ def local_cost(X, Y, gamma, cfg):
     return A[:, None] + B[None, :] - 2.0 * C + E
 
 
-def _quad_penalty(a, b, rho, *, strict_balanced=True):
-    """rho * KLq(a|b); indicator semantics in the balanced limit rho = inf."""
-    if math.isinf(rho):
-        return balanced_indicator(a, b) if strict_balanced else 0.0
-    q = quad_kl(a, b)
-    return rho * q if q > 0 else 0.0
-
-
 def ugw_functional(X, Y, pi, cfg, *, strict_balanced=True):
     """L(pi) + eps KLq(pi|mu (x) nu), +inf on KL-singular or off-constraint plans.
 
-    With strict_balanced=False the indicator terms of balanced marginals are
+    This is the diagonal F(pi, pi) of biconvex_functional. With
+    strict_balanced=False the indicator terms of balanced marginals are
     treated as 0; the solver uses this to report finite costs for plans that
     satisfy the constraint only to iteration tolerance.
     """
-    p = plan_values(pi)
-    mu, nu = X.weights, Y.weights
-    val = distortion_cost(X.dist, Y.dist, p)
-    val_pen = _quad_penalty(p.sum(axis=1), mu, cfg.rho1, strict_balanced=strict_balanced)
-    val_pen += _quad_penalty(p.sum(axis=0), nu, cfg.rho2, strict_balanced=strict_balanced)
-    ent = quad_kl(p.ravel(), (mu[:, None] * nu[None, :]).ravel())
-    if math.isinf(val_pen) or math.isinf(ent):
-        return math.inf
-    return val + val_pen + cfg.eps * ent
+    return biconvex_functional(X, Y, pi, pi, cfg, strict_balanced=strict_balanced)
 
 
 def _pair_penalty(a, b, ref, rho, *, strict_balanced=True):
+    """rho * KL(a (x) b | ref (x) ref); indicator semantics in the balanced limit rho = inf."""
     if math.isinf(rho):
         return balanced_indicator(a, ref) + balanced_indicator(b, ref) if strict_balanced else 0.0
     t = tensor_kl(a, b, ref, ref)
@@ -181,7 +167,7 @@ def _pair_penalty(a, b, ref, rho, *, strict_balanced=True):
 
 
 def biconvex_functional(X, Y, pi, gamma, cfg, *, strict_balanced=True):
-    """F_eps(pi, gamma): the two-plan relaxation; F(pi, pi) equals ugw_functional."""
+    """F_eps(pi, gamma): the two-plan relaxation; F(pi, pi) is ugw_functional."""
     p = plan_values(pi)
     g = plan_values(gamma)
     mu, nu = X.weights, Y.weights
@@ -278,35 +264,33 @@ def solve_ugw(X, Y, cfg, init_plan=None):
 
     pi_t = TransportPlan(pi)
     ga_t = TransportPlan(gamma)
-    cost_biconvex = biconvex_functional(X, Y, pi_t, ga_t, cfg, strict_balanced=False)
-    cost_primal = ugw_functional(X, Y, pi_t, cfg, strict_balanced=False)
+    tightness = tightness_diagnostics(X, Y, pi_t, ga_t, cfg)
+    cost_primal = tightness["F_pi_pi"]
     primal_unreg = cost_primal - cfg.eps * quad_kl(
         pi_t.values.ravel(), (mu[:, None] * nu[None, :]).ravel()
     )
-    sol = UgwSolution(
+    return UgwSolution(
         pi=pi_t,
         gamma=ga_t,
-        cost_biconvex=cost_biconvex,
+        cost_biconvex=tightness["F_pi_gamma"],
         cost_primal=cost_primal,
         primal_unregularized=primal_unreg,
         outer_iterations=it,
         converged=converged and inner_capped == 0 and aborted is None,
-        diagnostics={"aborted": aborted, "inner_capped": inner_capped},
+        diagnostics={"aborted": aborted, "inner_capped": inner_capped, "tightness": tightness},
     )
-    sol.diagnostics["tightness"] = tightness_diagnostics(X, Y, sol, cfg)
-    return sol
 
 
-def tightness_diagnostics(X, Y, sol, cfg):
+def tightness_diagnostics(X, Y, pi, gamma, cfg):
     """F values at (pi,gamma), (pi,pi), (gamma,gamma) and the plan gap."""
-    pi, gamma = sol.pi, sol.gamma
+    p, g = plan_values(pi), plan_values(gamma)
     return {
-        "F_pi_gamma": biconvex_functional(X, Y, pi, gamma, cfg, strict_balanced=False),
-        "F_pi_pi": biconvex_functional(X, Y, pi, pi, cfg, strict_balanced=False),
-        "F_gamma_gamma": biconvex_functional(X, Y, gamma, gamma, cfg, strict_balanced=False),
-        "plan_gap": float(np.max(np.abs(pi.values - gamma.values), initial=0.0)),
-        "mass_pi": pi.mass,
-        "mass_gamma": gamma.mass,
+        "F_pi_gamma": biconvex_functional(X, Y, p, g, cfg, strict_balanced=False),
+        "F_pi_pi": biconvex_functional(X, Y, p, p, cfg, strict_balanced=False),
+        "F_gamma_gamma": biconvex_functional(X, Y, g, g, cfg, strict_balanced=False),
+        "plan_gap": float(np.max(np.abs(p - g), initial=0.0)),
+        "mass_pi": float(p.sum()),
+        "mass_gamma": float(g.sum()),
     }
 
 

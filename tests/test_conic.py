@@ -25,11 +25,6 @@ from conftest import random_space
 
 
 class TestConeMetricSpec:
-    def test_aliases_normalize(self):
-        assert ConeMetricSpec("gaussian_hellinger").setting == "gh"
-        assert ConeMetricSpec("HellingerKantorovich").setting == "hk"
-        assert ConeMetricSpec("partial_tv").setting == "ptv"
-
     def test_q_pinned_for_quadratic_settings(self):
         assert ConeMetricSpec("gh", q=7.0).q == 2.0
         assert ConeMetricSpec("hk", q=7.0).q == 2.0

@@ -122,13 +122,18 @@ class TestFunctionals:
         X = random_space(rng, 4, weights="mass")
         Y = random_space(rng, 3, weights="mass")
         cfg = UgwConfig(eps=0.1, rho1=0.8, rho2=1.2)
+        ref = np.outer(X.weights, Y.weights).ravel()
         for _ in range(5):
             P = random_plan(rng, X.n, Y.n)
-            np.testing.assert_allclose(
-                biconvex_functional(X, Y, P, P, cfg),
-                ugw_functional(X, Y, P, cfg),
-                rtol=1e-12,
+            value = ugw_functional(X, Y, P, cfg)
+            assert biconvex_functional(X, Y, P, P, cfg) == value
+            want = (
+                oracles.distortion_loop(X.dist, Y.dist, P)
+                + cfg.rho1 * oracles.quad_kl_tensor(P.sum(axis=1), X.weights)
+                + cfg.rho2 * oracles.quad_kl_tensor(P.sum(axis=0), Y.weights)
+                + cfg.eps * oracles.quad_kl_tensor(P.ravel(), ref)
             )
+            np.testing.assert_allclose(value, want, rtol=1e-12)
 
     def test_biconvex_symmetric_in_the_two_plans(self):
         rng = np.random.default_rng(5)
@@ -170,6 +175,9 @@ class TestSolveUgw:
         assert isinstance(sol, UgwSolution)
         assert sol.converged
         assert sol.outer_iterations >= 1
+        tight = sol.diagnostics["tightness"]
+        assert sol.cost_biconvex == tight["F_pi_gamma"]
+        assert sol.cost_primal == tight["F_pi_pi"]
         np.testing.assert_allclose(
             sol.cost_primal, ugw_functional(X, Y, sol.pi, cfg, strict_balanced=False), rtol=1e-12
         )
@@ -259,9 +267,11 @@ class TestSolveUgw:
         X, Y = self.make_pair(14)
         cfg = UgwConfig(eps=1e-2, rho1=1.0, tol_pot=1e-11)
         sol = solve_ugw(X, Y, cfg)
-        d = tightness_diagnostics(X, Y, sol, cfg)
-        for key in ("F_pi_gamma", "F_pi_pi", "F_gamma_gamma", "plan_gap", "mass_pi", "mass_gamma"):
-            assert key in d
+        d = tightness_diagnostics(X, Y, sol.pi, sol.gamma, cfg)
+        keys = {"F_pi_gamma", "F_pi_pi", "F_gamma_gamma", "plan_gap", "mass_pi", "mass_gamma"}
+        assert set(d) == keys
+        assert d == sol.diagnostics["tightness"]
+        assert d == tightness_diagnostics(X, Y, sol.pi.values, sol.gamma.values, cfg)
         assert d["plan_gap"] >= 0.0
 
 
