@@ -317,18 +317,38 @@ def conic_local_cost(beta, DX, DY, spec):
         raise ValueError("beta must be in grid form")
     DX = np.asarray(DX, dtype=float)
     DY = np.asarray(DY, dtype=float)
-    n, m = DX.shape[0], DY.shape[0]
-    if beta.grid.shape[:2] != (n, m):
+    if beta.grid.shape[:2] != (DX.shape[0], DY.shape[0]):
         raise ValueError("grid does not match the distance matrices")
     r, s = beta.radii()
-    rho = spec.rho
-    S_r = float(np.einsum("ijkl,k->", beta.grid, r * r))
-    S_s = float(np.einsum("ijkl,l->", beta.grid, s * s))
-    T = np.einsum("ijkl,k,l->ij", beta.grid, r, s)
-    base = np.abs(DX[:, None, :, None] - DY[None, :, None, :]).reshape(n * m, n * m)
-    G = (_kernel(spec, base) @ T.ravel()).reshape(n, m)
-    radial = (rho * (r * r * S_r))[:, None] + (rho * (s * s * S_s))[None, :]
-    return radial - (2.0 * rho * G)[:, :, None, None] * (r[:, None] * s[None, :])
+    i, j, k, l = np.nonzero(beta.grid)
+    C = _grid_cost(_pair_kernel(spec, DX, DY), spec, beta.grid[i, j, k, l], i * len(DY) + j,
+                   r[k], s[l], r[:, None], s[None, :])
+    return C.reshape(beta.grid.shape)
+
+
+def _pair_kernel(spec, DX, DY):
+    """Kernel of the pair base distances |DX_ii' - DY_jj'|, an (nm x nm) matrix."""
+    n, m = DX.shape[0], DY.shape[0]
+    return _kernel(spec, np.abs(DX[:, None, :, None] - DY[None, :, None, :]).reshape(n * m, n * m))
+
+
+def _grid_cost(W, spec, w, ij, a, e, r, s):
+    """conic_local_cost's C[i m + j, cell] at the cells of radii (r, s), given the
+    pair kernel W and the plan's masses w at its cells of pair ij and radii (a, e)."""
+    S_r, S_s = float(w @ (a * a)), float(w @ (e * e))
+    G = W @ np.bincount(ij, weights=w * a * e, minlength=W.shape[0])
+    return spec.rho * (r * r * S_r + s * s * S_s - np.multiply.outer(2.0 * G, r * s))
+
+
+def _directions(K, L):
+    """Cells (k, l), ascending, whose next multiple (k, l) (1 + 1/gcd(k, l)) is off
+    the grid. Cell t (k, l) has t^2 times the LP column and cost of (k, l), so
+    Dantzig pricing never picks a smaller multiple, and (0, 0) has a zero column.
+    """
+    k, l = np.divmod(np.arange((K + 1) * (L + 1)), L + 1)
+    g = np.maximum(np.gcd(k, l), 1)
+    keep = (k + k // g > K) | (l + l // g > L)
+    return k[keep], l[keep]
 
 
 def _radial_profile(rng, radii_sq, mass, moment):
@@ -433,7 +453,7 @@ def solve_cgw(X, Y, spec=None, K=10, L=10, restarts=20, seed=0, max_rounds=200, 
 
     Radii live on [0, R] with R^2 = m(mu)^2 + m(nu)^2. Half the restarts use
     random product-form plans, half permutation lifts. Each restart freezes
-    the plan, builds the local cost tensor, and re-solves the moment-
+    the plan, prices the LP cells by its local cost, and re-solves the moment-
     constrained LP (warm-started, since the constraints never change) until
     the energy decrease falls below tol*(1+|cost|) or max_rounds.
 
@@ -451,51 +471,53 @@ def solve_cgw(X, Y, spec=None, K=10, L=10, restarts=20, seed=0, max_rounds=200, 
     r = np.arange(K + 1) * (R / K)
     s = np.arange(L + 1) * (R / L)
     n, m = X.n, Y.n
-    N = n * m * (K + 1) * (L + 1)
+    W = _pair_kernel(spec, X.dist, Y.dist)
+    kk, ll = _directions(K, L)  # LP columns: these cells for each (i, j)
+    rk, sl, P = r[kk], s[ll], kk.size
 
     # moment constraint rows: sum_jkl r_k^2 alpha = mu_i, sum_ikl s_l^2 alpha = nu_j
-    A_mu = np.kron(np.eye(n), np.kron(np.ones(m), np.kron(r * r, np.ones(L + 1))))
-    A_nu = np.kron(np.ones(n), np.kron(np.eye(m), np.kron(np.ones(K + 1), s * s)))
-    A = np.vstack([A_mu, A_nu])
-    b = np.concatenate([mu, nu])
+    A_mu = np.kron(np.eye(n), np.kron(np.ones(m), rk * rk))
+    A_nu = np.kron(np.ones(n), np.kron(np.eye(m), sl * sl))
+    lp = LpProblem(np.vstack([A_mu, A_nu]), np.concatenate([mu, nu]), np.zeros(n * m * P))
 
     rng = np.random.default_rng(seed)
     n_prod = (restarts + 1) // 2
-    best = None
+    best_plan = None
     log = []
     basis = None
     for idx in range(restarts):
         kind = "product" if idx < n_prod else "permutation"
-        if kind == "product":
-            alpha = _product_init(rng, mu, nu, r, s)
-        else:
-            alpha = _permutation_init(rng, mu, nu, r, s)
+        plan = (_product_init if kind == "product" else _permutation_init)(rng, mu, nu, r, s)
         start = time.perf_counter()
-        plan = ConicPlan.from_grid(alpha, R)
-        C = conic_local_cost(plan, X.dist, Y.dist, spec)
-        cost = float(np.vdot(C, plan.grid))
+        i, j, k, l = np.nonzero(plan)
+        C = _grid_cost(W, spec, plan[i, j, k, l], i * m + j, r[k], s[l], r[:, None], s[None, :])
+        cost = float(np.vdot(C, plan))
+        c = C[:, kk, ll].ravel()
         trace = [cost]
         pivots = 0
         converged = False
         for _ in range(max_rounds):
-            sol = solve_lp(LpProblem(A, b, C.ravel()), init_basis=basis)
+            sol = solve_lp(lp.with_cost(c), init_basis=basis)
             if sol.status != "optimal":
                 raise RuntimeError("grid LP terminated " + sol.status)
             pivots += sol.iterations
             basis = sol.basis
-            new = ConicPlan.from_grid(sol.x.reshape(alpha.shape), R)
-            C = conic_local_cost(new, X.dist, Y.dist, spec)
-            new_cost = float(np.vdot(C, new.grid))
+            plan = sol.x
+            nz = np.flatnonzero(plan)  # the basic cells: the moments and cost need no others
+            c = _grid_cost(W, spec, plan[nz], nz // P, rk[nz % P], sl[nz % P], rk, sl).ravel()
+            new_cost = float(c[nz] @ plan[nz])
             trace.append(new_cost)
-            improved = cost - new_cost
-            plan, cost = new, new_cost
+            improved, cost = cost - new_cost, new_cost
             if improved <= tol * (1.0 + abs(new_cost)):
                 converged = True
                 break
         log.append({"init": kind, "rounds": len(trace) - 1, "cost": cost, "trace": trace,
                     "pivots": pivots, "seconds": time.perf_counter() - start,
                     "converged": converged})
-        if best is None or cost < best.cost:
-            best = CgwResult(alpha=plan, cost=cost, restart_log=log)
-    best.restart_log = log
-    return best
+        if best_plan is None or cost < best_cost:
+            best_cost, best_plan = cost, plan
+    if best_plan.ndim == 1:  # an LP solution on the kept cells
+        grid = np.zeros((n, m, K + 1, L + 1))
+        grid[:, :, kk, ll] = best_plan.reshape(n, m, P)
+        best_plan = grid
+    return CgwResult(alpha=ConicPlan.from_grid(best_plan, R), cost=best_cost, restart_log=log)

@@ -18,6 +18,7 @@ because its alternations only change the objective vector.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -46,6 +47,14 @@ class LpProblem:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
+
+    def with_cost(self, c):
+        """The same A and b with cost vector c; checks c alone, not A again."""
+        new = copy.copy(self)
+        object.__setattr__(new, "c", np.asarray(c, dtype=float).ravel())
+        if new.c.shape != self.c.shape or not np.all(np.isfinite(new.c)):
+            raise ValueError("c must be finite, one entry per column of A")
+        return new
 
 
 @dataclass

@@ -59,19 +59,24 @@ def lambert_w(z, tol=1e-15, max_iter=64):
     return w
 
 
-def _plan_terms(X, Y, pi):
-    """Plan matrix, mass m, distortion b and the two marginal log sums."""
+def _unit_plan(pi):
+    """pi / m(pi) and m(pi); theta pi = (theta m) (pi / m), so scales are found on pi / m."""
     P = plan_values(pi)
     m = float(P.sum())
     if not m > 0:
         raise ValueError("the plan must carry positive mass")
+    return P / m, m
+
+
+def _plan_terms(X, Y, P):
+    """Mass m, distortion b and the two marginal log sums of the plan matrix P."""
     b = distortion_cost(X.dist, Y.dist, P)
     s1 = xlogy_sum(P.sum(axis=1), X.weights)
     s2 = xlogy_sum(P.sum(axis=0), Y.weights)
-    return P, m, b, s1, s2
+    return float(P.sum()), b, s1, s2
 
 
-def _quad_profile(X, Y, pi, rho, eps):
+def _quad_profile(X, Y, P, rho, eps):
     """Coefficients of G(theta) = theta^2 (A + B log theta) + const.
 
     Expanding the quadratic divergences of theta*pi shows every term is
@@ -79,7 +84,7 @@ def _quad_profile(X, Y, pi, rho, eps):
     cancel), with the data entering through the distortion b and the
     relative-entropy sums of the marginals and the plan.
     """
-    P, m, b, s1, s2 = _plan_terms(X, Y, pi)
+    m, b, s1, s2 = _plan_terms(X, Y, P)
     se = xlogy_sum(P, X.weights[:, None] * Y.weights[None, :]) if eps > 0 else 0.0
     B = 2.0 * m * m * (2.0 * rho + eps)
     A = b + 2.0 * m * (rho * s1 + rho * s2 + eps * se) - 0.5 * B
@@ -98,15 +103,17 @@ def optimal_scale_quadratic(X, Y, pi, rho, eps=0.0, details=False):
         raise ValueError("rho must be positive")
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    A, B = _quad_profile(X, Y, pi, rho, eps)
-    theta = math.exp(-(2.0 * A + B) / (2.0 * B))
+    P, m = _unit_plan(pi)
+    A, B = _quad_profile(X, Y, P, rho, eps)
+    theta = math.exp(-(2.0 * A + B) / (2.0 * B)) / m
     if not details:
         return theta
+    A, B = _quad_profile(X, Y, plan_values(pi), rho, eps)
     return theta, {"foc_residual": theta * (2.0 * A + B + 2.0 * B * math.log(theta))}
 
 
-def _linear_foc_terms(X, Y, pi, rho):
-    _, m, b, s1, s2 = _plan_terms(X, Y, pi)
+def _linear_foc_terms(X, Y, P, rho):
+    m, b, s1, s2 = _plan_terms(X, Y, P)
     # the quadratic distortion is nonnegative; clip away roundoff so the
     # root finder keeps a monotone objective
     return 2.0 * rho * m, max(b, 0.0), rho * (s1 + s2)
@@ -143,7 +150,8 @@ def optimal_scale_linear(X, Y, pi, rho, details=False):
     """
     if not rho > 0:
         raise ValueError("rho must be positive")
-    a, b, c = _linear_foc_terms(X, Y, pi, rho)
+    P, m = _unit_plan(pi)
+    a, b, c = _linear_foc_terms(X, Y, P, rho)
     u = -c / a
     if b == 0:
         # h(t) = a t + c is linear, so the root is exact; skip the Newton
@@ -158,10 +166,11 @@ def optimal_scale_linear(X, Y, pi, rho, details=False):
         t = _newton_log_root(a, b, c, u - w)
     else:
         t = _newton_log_root(a, b, c, u - lambert_w((2.0 * b / a) * math.exp(u)))
-    theta = math.exp(t)
-    residual = a * t + 2.0 * b * theta + c
+    theta = math.exp(t) / m
     if not details:
         return theta
+    a, b, c = _linear_foc_terms(X, Y, plan_values(pi), rho)
+    residual = a * math.log(theta) + 2.0 * b * theta + c
     return theta, {"a": a, "b": b, "c": c, "foc_residual": residual}
 
 

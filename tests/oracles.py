@@ -319,3 +319,42 @@ def conic_energy_loop(atoms, DX, DY, spec_setting, rho, q=2.0):
                 cost = ptv_cone_cost(base, rr, ss, rho, q)
             total += w * w2 * max(cost, 0.0)
     return total
+
+
+def grid_moment_rows(mu, nu, r, s):
+    """Moment constraint matrix of the grid LP over every cell (i, j, k, l).
+
+    Row i holds r_k^2 at the cells of row i, row n + j holds s_l^2 at the
+    cells of column j; the columns run over the cells in C order.
+    """
+    n, m = mu.size, nu.size
+    A_mu = np.kron(np.eye(n), np.kron(np.ones(m), np.kron(r * r, np.ones(s.size))))
+    A_nu = np.kron(np.ones(n), np.kron(np.eye(m), np.kron(np.ones(r.size), s * s)))
+    return np.vstack([A_mu, A_nu])
+
+
+def cgw_full_grid_loop(mu, nu, r, s, inits, local_cost, lp_solve, max_rounds, tol):
+    """The grid alternation with an LP column and a dense cost for every cell.
+
+    From each initial grid, alternate: price the LP by the dense cost tensor
+    local_cost(grid) of the current plan, solve it with
+    lp_solve(A, b, c, basis) -> (x, basis), and stop once the cost falls by
+    at most tol (1 + |cost|). The basis carries over from one LP to the next,
+    across restarts too. Returns (cost trace, final grid) per initial grid.
+    """
+    A = grid_moment_rows(mu, nu, r, s)
+    b = np.concatenate([mu, nu])
+    basis = None
+    out = []
+    for grid in inits:
+        C = local_cost(grid)
+        trace = [float(np.vdot(C, grid))]
+        while len(trace) <= max_rounds:
+            x, basis = lp_solve(A, b, C.ravel(), basis)
+            grid = x.reshape(grid.shape)
+            C = local_cost(grid)
+            trace.append(float(np.vdot(C, grid)))
+            if trace[-2] - trace[-1] <= tol * (1.0 + abs(trace[-1])):
+                break
+        out.append((trace, grid))
+    return out

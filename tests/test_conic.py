@@ -17,7 +17,7 @@ from ugwkit.conic import (
     solve_cgw,
     up_residual,
 )
-from ugwkit.lp import solve_lp
+from ugwkit.lp import LpProblem, solve_lp
 from ugwkit.measures import KL, TV, BALANCED, TransportPlan
 
 import oracles
@@ -381,6 +381,62 @@ class TestSolveCgw:
             assert entry["converged"] or entry["rounds"] == 40
         assert sum(entry["pivots"] for entry in res.restart_log) == sum(pivots)
         assert len(pivots) == sum(entry["rounds"] for entry in res.restart_log)
+
+    @pytest.mark.parametrize("n,m,K,L,seed", [(2, 3, 5, 5, 1), (3, 3, 6, 6, 2), (3, 4, 10, 7, 3)])
+    def test_matches_full_grid_oracle(self, monkeypatch, n, m, K, L, seed):
+        # the solver's LP keeps one cell per radial direction and assembles
+        # its costs from the basic cells; the oracle keeps every cell and
+        # prices the LP with the dense conic_local_cost tensor
+        rng = np.random.default_rng([16, seed])
+        X = random_space(rng, n, weights="mass")
+        Y = random_space(rng, m, weights="mass")
+        spec = ConeMetricSpec("gh", rho=0.5)
+        inits = []
+
+        def recorded(make):
+            def init(*args):
+                inits.append(make(*args))
+                return inits[-1]
+            return init
+
+        monkeypatch.setattr(conic, "_product_init", recorded(conic._product_init))
+        monkeypatch.setattr(conic, "_permutation_init", recorded(conic._permutation_init))
+        res = solve_cgw(X, Y, spec=spec, K=K, L=L, restarts=6, seed=seed, max_rounds=40)
+
+        def lp_solve(A, b, c, basis):
+            sol = solve_lp(LpProblem(A, b, c), init_basis=basis)
+            assert sol.status == "optimal"
+            return sol.x, sol.basis
+
+        def local_cost(grid):
+            return conic_local_cost(ConicPlan.from_grid(grid, res.alpha.R), X.dist, Y.dist, spec)
+
+        r, s = res.alpha.radii()
+        ref = oracles.cgw_full_grid_loop(X.weights, Y.weights, r, s, inits, local_cost,
+                                         lp_solve, max_rounds=40, tol=1e-9)
+        assert len(ref) == len(res.restart_log) == 6
+        for entry, (trace, _) in zip(res.restart_log, ref):
+            assert entry["rounds"] == len(trace) - 1
+            assert min(trace) > 1e-3
+            np.testing.assert_allclose(entry["trace"], trace, rtol=1e-12, atol=0)
+        best = min(trace[-1] for trace, _ in ref)
+        np.testing.assert_allclose(res.cost, best, rtol=1e-12, atol=0)
+        A = oracles.grid_moment_rows(X.weights, Y.weights, r, s)
+        b = np.concatenate([X.weights, Y.weights])
+        for grid in [res.alpha.grid] + [grid for _, grid in ref]:
+            assert np.max(np.abs(A @ grid.ravel() - b)) <= 1e-9
+
+    @pytest.mark.parametrize("K,L", [(10, 10), (10, 7), (3, 8), (1, 1)])
+    def test_directions_keep_the_last_cell_of_each_ray(self, K, L):
+        k, l = conic._directions(K, L)
+        assert list(zip(k, l)) == sorted(zip(k, l))
+        last = {}
+        for a in range(K + 1):
+            for b in range(L + 1):
+                if (a, b) != (0, 0):
+                    g = math.gcd(a, b)
+                    last[(a // g, b // g)] = max(last.get((a // g, b // g), (0, 0)), (a, b))
+        assert sorted(zip(k.tolist(), l.tolist())) == sorted(last.values())
 
     def test_guards(self):
         rng = np.random.default_rng(15)

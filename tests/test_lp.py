@@ -131,6 +131,19 @@ def test_problem_validation():
         LpProblem([[np.inf, 0.0]], [0.0], [1.0, 1.0])
 
 
+def test_with_cost_checks_only_the_cost():
+    prob = LpProblem(np.array([[1.0, 1.0, 0.0]]), [1.0], [0.0, 0.0, 0.0])
+    new = prob.with_cost([1.0, 2.0, 0.5])
+    assert new.A is prob.A and new.b is prob.b
+    np.testing.assert_array_equal(new.c, [1.0, 2.0, 0.5])
+    np.testing.assert_array_equal(prob.c, [0.0, 0.0, 0.0])
+    assert solve_lp(new).objective == solve_lp(LpProblem(prob.A, prob.b, new.c)).objective == 1.0
+    with pytest.raises(ValueError):
+        prob.with_cost([1.0, 2.0])
+    with pytest.raises(ValueError):
+        prob.with_cost([1.0, np.nan, 0.0])
+
+
 def test_solution_type():
     prob = LpProblem([[1.0, 1.0]], [1.0], [1.0, 2.0])
     sol = solve_lp(prob)
@@ -159,6 +172,15 @@ def grid_lp(n, m, K, L, seed):
     problem, init_basis = seen[0]
     assert init_basis is None
     return problem
+
+
+def full_grid_lp(X, Y, K, L, c):
+    """The grid LP of solve_cgw with a column for every cell (i, j, k, l), priced by c."""
+    R = math.sqrt(X.mass**2 + Y.mass**2)
+    r = np.arange(K + 1) * (R / K)
+    s = np.arange(L + 1) * (R / L)
+    A = oracles.grid_moment_rows(X.weights, Y.weights, r, s)
+    return LpProblem(A, np.concatenate([X.weights, Y.weights]), c)
 
 
 @pytest.fixture
@@ -270,8 +292,8 @@ class TestBasisInverseKernel:
         C = conic.conic_local_cost(
             conic.ConicPlan.from_grid(grid, R), X.dist, Y.dist, conic.ConeMetricSpec("gh", 1.0)
         )
-        base = grid_lp(8, 8, 10, 10, seed=8)
-        prob = LpProblem(base.A, base.b, C.ravel())
+        prob = full_grid_lp(X, Y, 10, 10, C.ravel())
+        assert prob.A.shape == (16, 7744)
         assert np.abs(prob.c).max() > 1e7
         sol = solve_lp(prob)
         ref = solve_lp_oracle(prob)

@@ -146,6 +146,22 @@ class TestLinearScale:
         assert abs(info["foc_residual"]) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "solve,value", [(optimal_scale_quadratic, 0.44125), (optimal_scale_linear, 0.28357)]
+)
+def test_scale_follows_the_plan_mass(solve, value):
+    # theta * pi depends on pi only through its shape, so theta times the
+    # entry must not move from plans of entries 1 down to 1e-295; solved on
+    # the plan itself, the quadratic profile underflows at 1e-295 and the
+    # linear root hits its cap on log theta below about 1e-26
+    d = np.array([[0.0, 1.0], [1.0, 0.0]])
+    X = MmSpace(d, [1.0, 1.0])
+    scaled = [solve(X, X, np.full((2, 2), scale), rho=1.0) * scale
+              for scale in (1.0, 1e-20, 1e-30, 1e-100, 1e-295)]
+    np.testing.assert_allclose(scaled, scaled[0], rtol=1e-12, atol=0)
+    assert scaled[0] == pytest.approx(value, abs=5e-6)
+
+
 class TestBiasReport:
     def test_quadratic_scale_is_linear_in_kappa(self):
         rng = np.random.default_rng(4)

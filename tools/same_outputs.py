@@ -11,11 +11,17 @@ where some or all trials raise (the plan overflows) and are recorded as
 error rows; then the solver commands on small spaces written here with
 numpy. For each run the exit code, stdout, stderr and every file written are
 compared byte for byte. One line is printed per run; the exit code is 1 if
-anything differs.
+anything differs. Where two outputs differ only in their numbers, the line
+gives the largest relative difference |a - b| / max(|a|, |b|) between
+corresponding numbers. A number within 1e-12 of the output's largest |number|
+of zero counts as zero and is left out: a residual or a cost of 0 comes out
+as 1e-17 on one side and -1e-17 on the other. The run with the largest
+relative difference is named at the end.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -90,6 +96,7 @@ def solver_runs(p):
         ["cgw", *pair, "--rho", "0.5", "--grid-k", "4", "--grid-l", "4", "--restarts", "3",
          "--with-ugw", "--eps", "0.01"],
         ["cgw", *pair, "--grid-k", "4", "--grid-l", "4", "--restarts", "3"],
+        ["cgw", *pair, "--grid-k", "10", "--grid-l", "7", "--restarts", "4"],
         ["scale", *pair, "--rho", "0.1", "--kappas", "0.5,2"],
         ["scale", *pair, "--format", "json"],
         ["gen", "--kind", "two_moons_outliers", "--n", "10", "--n-outliers", "2"],
@@ -114,11 +121,32 @@ def run(src, argv, work):
             "files": files}
 
 
+NUMBER = re.compile(rb"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
+
+
+def relative_difference(old, new):
+    """Largest |a - b| / max(|a|, |b|) over corresponding numbers of two outputs,
+    leaving out numbers at roundoff of zero; None when they differ in
+    anything but numbers."""
+    if not isinstance(old, bytes) or not isinstance(new, bytes):
+        return None
+    if NUMBER.split(old) != NUMBER.split(new):
+        return None
+    a = np.array([float(x) for x in NUMBER.findall(old)])
+    b = np.array([float(x) for x in NUMBER.findall(new)])
+    big = np.maximum(np.abs(a), np.abs(b))
+    keep = big > 1e-12 * big.max()
+    return float(np.max(np.abs(a - b)[keep] / big[keep], initial=0.0))
+
+
 def differences(old, new):
-    diffs = [key for key in ("exit code", "stdout", "stderr") if old[key] != new[key]]
+    """(name, largest relative difference or None) for each output that differs."""
+    diffs = [(key, relative_difference(old[key], new[key]))
+             for key in ("exit code", "stdout", "stderr") if old[key] != new[key]]
     for name in sorted(set(old["files"]) | set(new["files"])):
         if old["files"].get(name) != new["files"].get(name):
-            diffs.append(name)
+            diffs.append((name, relative_difference(old["files"].get(name),
+                                                    new["files"].get(name))))
     return diffs
 
 
@@ -133,15 +161,24 @@ def main(argv=None):
         runs = [[*cmd, "--format", fmt] for cmd in DRIVERS for fmt in ("csv", "json")]
         runs += FAILING + solver_runs(inputs)
         same = True
+        worst = (0.0, None)
         for i, cmd in enumerate(runs):
             old = run(old_src, cmd, os.path.join(root, f"old{i}"))
             new = run(new_src, cmd, os.path.join(root, f"new{i}"))
             diffs = differences(old, new)
             same = same and not diffs
             shown = " ".join(os.path.basename(a) if os.sep in a else a for a in cmd)
-            verdict = "differs: " + ", ".join(diffs) if diffs else "identical"
+            parts = []
+            for name, rel in diffs:
+                parts.append(f"{name} (" + ("not only numbers" if rel is None
+                                            else f"numbers, max rel {rel:.1e}") + ")")
+                if rel is not None and (worst[1] is None or rel > worst[0]):
+                    worst = (rel, f"{shown}: {name}")
+            verdict = "differs: " + ", ".join(parts) if diffs else "identical"
             print(f"{shown}: exit {new['exit code']}, {len(new['files'])} files, {verdict}")
     print("all identical" if same else "outputs differ")
+    if worst[1] is not None:
+        print(f"largest relative difference between numbers: {worst[0]:.2e} ({worst[1]})")
     return 0 if same else 1
 
 
