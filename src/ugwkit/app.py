@@ -507,6 +507,8 @@ def run_pu(
     marginal ranks the unlabeled points; accuracy is measured against the
     generating labels across the rho validation grid.
     """
+    if n_unlabeled_pos + n_unlabeled_neg < 1:
+        raise ValueError("the unlabeled pool needs at least one point")
     r = n_unlabeled_pos / (n_unlabeled_pos + n_unlabeled_neg)
     truth = np.concatenate([np.ones(n_unlabeled_pos, int), -np.ones(n_unlabeled_neg, int)])
     cfgs = {rho: UgwConfig(eps=eps, rho1=rho, rho2=rho, tol_pot=tol_pot, max_outer=max_outer)

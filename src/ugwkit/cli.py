@@ -335,10 +335,9 @@ _COMMANDS = {
 
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="global RNG seed (default 0)")
+    common.add_argument("--seed", default=None, help="global RNG seed (default 0)")
     common.add_argument("--out", default=None, help="output directory (default .)")
-    common.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="table format (default csv)")
+    common.add_argument("--format", default=None, help="table format, csv or json (default csv)")
     common.add_argument("--config", default=None,
                         help="key=value file mirroring the flag names")
 
@@ -386,10 +385,13 @@ def main(argv=None):
         elif param.default is param.empty:
             _fail(f"missing required option --{key.replace('_', '-')}")
     seed = parsed("seed", 0) if "seed" in values else 0
+    fmt = str(values.get("format", "csv"))
+    if fmt not in ("csv", "json"):
+        _fail(f"bad value for --format: {fmt!r}; choose csv or json")
     out_dir = str(values.get("out", "."))
     os.makedirs(out_dir, exist_ok=True)
     try:
-        result = run(out_dir=out_dir, seed=seed, fmt=str(values.get("format", "csv")), **kwargs)
+        result = run(out_dir=out_dir, seed=seed, fmt=fmt, **kwargs)
     except (ValueError, FloatingPointError) as exc:
         _fail(str(exc))
     if isinstance(result, dict):  # a driver: report the files it wrote

@@ -6,10 +6,12 @@ transform of an entropy function,
 
     H_c(r, s) = inf_{theta >= 0} theta * (c + rho psi(r/theta) + rho psi(s/theta)),
 
-with the base distance entering through a setting-specific map lambda.
-Three settings are wired: Gaussian-Hellinger (KL, lambda(t) = t^2,
-p = q = 2), Hellinger-Kantorovich (KL, lambda(t) = -log cos^2(t /\\ pi/2),
-p = q = 2), and partial-TV (TV, lambda(t) = t^q, p = 1).
+with the base distance entering through a setting-specific map lambda:
+D = H_lambda(d)(r^p, s^p). Three settings are wired: Gaussian-Hellinger (KL,
+lambda(t) = t^2, p = q = 2), Hellinger-Kantorovich (KL,
+lambda(t) = -log cos^2(t /\\ pi/2), p = q = 2), and partial-TV (TV,
+lambda(t) = t^q, p = 1). Each row of ``_SETTINGS`` holds the setting's
+divergence, p, default q and lambda.
 
 The quadratic matching problem compares two spaces through plans on the
 product of their cones: the energy H(alpha) double-sums the cone cost over
@@ -46,10 +48,10 @@ __all__ = [
 ]
 
 _SETTINGS = {
-    # setting -> (divergence kind, p, default q)
-    "gh": ("kl", 2.0, 2.0),
-    "hk": ("kl", 2.0, 2.0),
-    "ptv": ("tv", 1.0, 2.0),
+    # setting -> (divergence kind, p, default q, lambda(base distance t, q))
+    "gh": ("kl", 2.0, 2.0, lambda t, q: t * t),
+    "hk": ("kl", 2.0, 2.0, lambda t, q: -2.0 * np.log(np.cos(np.minimum(t, math.pi / 2.0)))),
+    "ptv": ("tv", 1.0, 2.0, lambda t, q: t**q),
 }
 
 @dataclass(frozen=True)
@@ -85,49 +87,37 @@ def perspective_H(c, r, s, entropy):
     """H_c(r, s), the perspective infimum over the joint scale theta.
 
     Closed forms for KL and TV; the balanced entropy forces theta = r = s.
+    Elementwise over numpy-broadcastable arguments.
     """
-    if not c >= 0:
+    c, r, s = (np.asarray(v, dtype=float) for v in (c, r, s))
+    if not np.all(c >= 0):
         raise ValueError("c must be nonnegative")
-    if r < 0 or s < 0:
+    if np.any(r < 0) or np.any(s < 0):
         raise ValueError("masses must be nonnegative")
     rho = entropy.rho
     if entropy.kind == "balanced":
-        if r == s:
-            return r * c
-        return math.inf
-    if entropy.kind == "kl":
-        damp = math.exp(-c / (2.0 * rho)) if math.isfinite(c) else 0.0
-        return rho * (r + s - 2.0 * math.sqrt(r * s) * damp)
-    # tv
-    return rho * (r + s - min(r, s) * max(0.0, 2.0 - c / rho))
+        out = np.where(r == s, r * c, math.inf)
+    elif entropy.kind == "kl":
+        out = rho * (r + s - 2.0 * np.sqrt(r) * np.sqrt(s) * np.exp(-c / (2.0 * rho)))
+    else:  # tv
+        out = rho * (r + s - np.minimum(r, s) * np.clip(2.0 - c / rho, 0.0, None))
+    return out[()]
 
 
-def _kernel(spec, base):
-    """The multiplicative damping exp(-lambda(base)/(2 rho)) of KL settings."""
-    base = np.asarray(base, dtype=float)
-    if spec.setting == "gh":
-        return np.exp(-base * base / (2.0 * spec.rho))
-    if spec.setting == "hk":
-        return np.cos(np.minimum(base, math.pi / 2.0)) ** (1.0 / spec.rho)
-    raise ValueError("no exponential kernel for the TV setting")
+def _lambda(spec, base):
+    """The setting's lambda at the base distance(s) ``base``."""
+    return _SETTINGS[spec.setting][3](np.asarray(base, dtype=float), spec.q)
 
 
 def cone_cost(spec, base, r, s):
-    """D_Co^q between cone points of radii r, s over base distance ``base``.
+    """D_Co^q between cone points of radii r, s over base distance ``base``:
+    H_lambda(base)(r^p, s^p), floored at 0 against roundoff.
 
     Vectorized over numpy-broadcastable arguments. For pairs of product
     atoms pass radius products as r and s.
     """
-    base = np.asarray(base, dtype=float)
-    r = np.asarray(r, dtype=float)
-    s = np.asarray(s, dtype=float)
-    rho = spec.rho
-    if spec.setting in ("gh", "hk"):
-        out = rho * (r * r + s * s - 2.0 * r * s * _kernel(spec, base))
-    else:
-        hinge = np.clip(2.0 - base**spec.q / rho, 0.0, None)
-        out = rho * (r + s - np.minimum(r, s) * hinge)
-    return np.maximum(out, 0.0)
+    r, s = (np.asarray(v, dtype=float) ** spec.p for v in (r, s))
+    return np.maximum(perspective_H(_lambda(spec, base), r, s, spec.entropy), 0.0)
 
 
 @dataclass
@@ -224,39 +214,15 @@ def conic_lift(pi, X, Y, p=2.0):
         raise ValueError("plan shape does not match the spaces")
     p1 = P.sum(axis=1)
     p2 = P.sum(axis=0)
-    rows = []
     ii, jj = np.nonzero(P > 0)
-    if ii.size:
-        r = (mu[ii] / p1[ii]) ** (1.0 / p)
-        s = (nu[jj] / p2[jj]) ** (1.0 / p)
-        rows.append(np.column_stack([ii.astype(float), r, jj.astype(float), s, P[ii, jj]]))
-    dead_rows = np.nonzero(p1 == 0)[0]
-    if dead_rows.size:
-        rows.append(
-            np.column_stack(
-                [
-                    dead_rows.astype(float),
-                    np.ones(dead_rows.size),
-                    -np.ones(dead_rows.size),
-                    np.zeros(dead_rows.size),
-                    mu[dead_rows],
-                ]
-            )
-        )
-    dead_cols = np.nonzero(p2 == 0)[0]
-    if dead_cols.size:
-        rows.append(
-            np.column_stack(
-                [
-                    -np.ones(dead_cols.size),
-                    np.zeros(dead_cols.size),
-                    dead_cols.astype(float),
-                    np.ones(dead_cols.size),
-                    nu[dead_cols],
-                ]
-            )
-        )
-    atoms = np.vstack(rows) if rows else np.zeros((0, 5))
+    di, dj = np.flatnonzero(p1 == 0), np.flatnonzero(p2 == 0)  # rows, columns it misses
+    oi, oj = np.ones(di.size), np.ones(dj.size)
+    atoms = np.vstack([
+        np.column_stack([ii, (mu[ii] / p1[ii]) ** (1.0 / p), jj, (nu[jj] / p2[jj]) ** (1.0 / p),
+                         P[ii, jj]]),
+        np.column_stack([di, oi, -oi, np.zeros(di.size), mu[di]]),
+        np.column_stack([-oj, np.zeros(dj.size), dj, oj, nu[dj]]),
+    ])
     return ConicPlan.from_atoms(atoms)
 
 
@@ -311,7 +277,7 @@ def conic_local_cost(beta, DX, DY, spec):
     radial second moments of beta, G = kernel-contraction of the first
     moments T_ij = sum_kl r_k s_l beta_ijkl. Requires a KL (p = 2) setting.
     """
-    if spec.setting not in ("gh", "hk"):
+    if spec.entropy.kind != "kl":
         raise ValueError("the grid cost is wired for the KL (p=2) settings")
     if beta.grid is None:
         raise ValueError("beta must be in grid form")
@@ -327,9 +293,11 @@ def conic_local_cost(beta, DX, DY, spec):
 
 
 def _pair_kernel(spec, DX, DY):
-    """Kernel of the pair base distances |DX_ii' - DY_jj'|, an (nm x nm) matrix."""
+    """Kernel exp(-lambda / (2 rho)) of the pair base distances |DX_ii' - DY_jj'|,
+    an (nm x nm) matrix; a KL setting's cone cost is rho (r^2 + s^2 - 2 r s kernel)."""
     n, m = DX.shape[0], DY.shape[0]
-    return _kernel(spec, np.abs(DX[:, None, :, None] - DY[None, :, None, :]).reshape(n * m, n * m))
+    base = np.abs(DX[:, None, :, None] - DY[None, :, None, :]).reshape(n * m, n * m)
+    return np.exp(-_lambda(spec, base) / (2.0 * spec.rho))
 
 
 def _grid_cost(W, spec, w, ij, a, e, r, s):
@@ -404,19 +372,10 @@ def _permutation_init(rng, mu, nu, r, s):
     K1, L1 = r.size, s.size
     R2r, R2s = r[-1] ** 2, s[-1] ** 2
     alpha = np.zeros((n, m, K1, L1))
-    if n <= m:
-        sigma = rng.permutation(m)[:n]
-        matched = set(int(x) for x in sigma)
-        pairs = [(i, int(sigma[i])) for i in range(n)]
-        free_rows = []
-        free_cols = [j for j in range(m) if j not in matched]
-    else:
-        sigma = rng.permutation(n)[:m]
-        matched = set(int(x) for x in sigma)
-        pairs = [(int(sigma[j]), j) for j in range(m)]
-        free_rows = [i for i in range(n) if i not in matched]
-        free_cols = []
-    for i, j in pairs:
+    k = min(n, m)
+    perm = rng.permutation(max(n, m))  # of the larger side: its first k atoms are matched
+    rows, cols = (np.arange(n), perm[:k]) if n <= m else (perm[:k], np.arange(m))
+    for i, j in zip(rows, cols):
         mom_r = min(mu[i], 0.98 * R2r)
         mom_s = min(nu[j], 0.98 * R2s)
         u = _radial_profile(rng, r * r, 1.0, mom_r)
@@ -426,9 +385,9 @@ def _permutation_init(rng, mu, nu, r, s):
             alpha[i, j, K1 - 1, 0] += (mu[i] - mom_r) / R2r
         if nu[j] > mom_s:
             alpha[i, j, 0, L1 - 1] += (nu[j] - mom_s) / R2s
-    for i in free_rows:
+    for i in perm[k:] if n > m else ():
         alpha[i, 0, K1 - 1, 0] += mu[i] / R2r
-    for j in free_cols:
+    for j in perm[k:] if n < m else ():
         alpha[0, j, 0, L1 - 1] += nu[j] / R2s
     return alpha
 

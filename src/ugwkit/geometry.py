@@ -39,6 +39,8 @@ class PointCloud:
         self.points = np.asarray(self.points, dtype=float)
         if self.points.ndim != 2:
             raise ValueError("points must be an (n, d) array")
+        if self.points.shape[0] == 0:
+            raise ValueError("a point cloud needs at least one point")
         if not np.all(np.isfinite(self.points)):
             raise ValueError("points must be finite")
         if self.tags is None:
@@ -136,6 +138,8 @@ def _two_moons_outliers(n, rng, n_outliers=3, noise=0.05, outlier_box=((2.5, 3.5
     box sits at a fixed offset well outside that range. Outliers are tagged
     -1, the moons 0 and 1.
     """
+    if n_outliers < 0:
+        raise ValueError("n_outliers must be nonnegative")
     n0 = n // 2
     n1 = n - n0
     t0 = rng.uniform(0.0, math.pi, size=n0)
@@ -162,6 +166,8 @@ def _community_graph(n, rng, sizes=None, n_outliers=2, intra=1.0, inter=4.0, to_
     (outlier-outlier pairs at ``inter``: two strangers). The default split is
     imbalanced (60/40).
     """
+    if n_outliers < 0:
+        raise ValueError("n_outliers must be nonnegative")
     if sizes is None:
         n_core = n - n_outliers
         if n_core < 2:
@@ -237,6 +243,8 @@ def space_from_points(cloud, weights=None, label=None):
 
 def space_from_graph(g, weights=None, label=None):
     """MmSpace with geodesic distances; uniform probability weights by default."""
+    if g.n == 0:
+        raise ValueError("a graph needs at least one node")
     if weights is None:
         weights = np.full(g.n, 1.0 / g.n)
     return MmSpace(graph_geodesics(g), weights, label=label)

@@ -219,19 +219,11 @@ def kl_div(a, b, rho=1.0):
 
 
 def quad_kl(a, b):
-    """KL(a (x) a | b (x) b) via 2 m(a) KL(a|b) + (m(a) - m(b))^2.
+    """KL(a (x) a | b (x) b) = 2 m(a) KL(a|b) + (m(a) - m(b))^2, tensor_kl's diagonal.
 
     Unweighted (rho = 1); callers multiply by their rho.
     """
-    a = _as_weights(a, "a")
-    b = _as_weights(b, "b")
-    if a.shape != b.shape:
-        raise ValueError("length mismatch")
-    kl = csiszar_div(a, b, KL(1.0))
-    if math.isinf(kl):
-        return math.inf
-    ma, mb = float(a.sum()), float(b.sum())
-    return 2.0 * ma * kl + (ma - mb) ** 2
+    return tensor_kl(a, a, b, b)
 
 
 def tensor_kl(a, b, p, q):

@@ -9,11 +9,13 @@ strictly unimodal in log theta for both functionals handled here:
   stationary point log theta = -(2A + B) / (2B) is the minimum and is
   returned as is;
 * the one with plain (non-quadratic) KL penalties, whose stationarity
-  condition a log(theta) + 2 b theta + c = 0 is solved through the Lambert
-  W function and polished by a safeguarded Newton iteration on the
-  stationarity residual.
+  condition a log(theta) + 2 b theta + c = 0 has the root
+  log theta = u - W(z), u = -c/a, z = (2b/a) e^u. W is found from log z by
+  Newton steps on w + log w = log z, so z itself is never formed, and a few
+  Newton steps on the stationarity condition polish the root.
 
-Both report that first-order residual with details=True.
+Both solve on the unit-mass plan pi / m(pi) and report the first-order
+residual of pi itself with details=True.
 """
 
 from __future__ import annotations
@@ -42,29 +44,43 @@ class ScalingReport:
     kappa: float
 
 
-def lambert_w(z, tol=1e-15, max_iter=64):
-    """Principal-branch W(z) for z >= 0, via Halley steps from log1p(z)."""
+def _w_of_log(log_z):
+    """W(z) from log z, by Newton steps on w + log w = log z; safe for any z > 0.
+
+    The start, z / (1 + z) below z = e and log z - log log z above, lies left
+    of the root; w + log w is concave, so from there each step moves right and
+    stays left of the root. W(z) rounds to 0 where z underflows.
+    """
+    if log_z > 1.0:
+        w = log_z - math.log(log_z)
+    else:
+        z = math.exp(log_z)
+        if z == 0.0:
+            return 0.0
+        w = z / (1.0 + z)
+    for _ in range(64):
+        step = w * (w + math.log(w) - log_z) / (w + 1.0)
+        w -= step
+        if abs(step) <= 1e-15 * w:
+            break
+    return w
+
+
+def lambert_w(z):
+    """Principal-branch W(z) for z >= 0."""
     if z < 0:
         raise ValueError("principal branch evaluated for z >= 0 only")
     if z == 0.0:
         return 0.0
-    w = math.log1p(z)
-    for _ in range(max_iter):
-        e = math.exp(w)
-        f = w * e - z
-        step = f / (e * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
-        w -= step
-        if abs(step) <= tol * (1.0 + abs(w)):
-            break
-    return w
+    return _w_of_log(math.log(z))
 
 
 def _unit_plan(pi):
     """pi / m(pi) and m(pi); theta pi = (theta m) (pi / m), so scales are found on pi / m."""
     P = plan_values(pi)
     m = float(P.sum())
-    if not m > 0:
-        raise ValueError("the plan must carry positive mass")
+    if not 0 < m < math.inf:
+        raise ValueError("the plan must carry positive, finite mass")
     return P / m, m
 
 
@@ -119,70 +135,40 @@ def _linear_foc_terms(X, Y, P, rho):
     return 2.0 * rho * m, max(b, 0.0), rho * (s1 + s2)
 
 
-def _newton_log_root(a, b, c, t0):
-    """Root of h(t) = a t + 2 b e^t + c, increasing and convex in t."""
-    lo, hi = -745.0, 60.0
-    t = min(max(t0, lo), hi)
-    for _ in range(200):
-        e = 2.0 * b * math.exp(t)
-        h = a * t + e + c
-        if h > 0:
-            hi = min(hi, t)
-        else:
-            lo = max(lo, t)
-        step = h / (a + e)
-        t_new = t - step
-        if not (lo <= t_new <= hi):
-            t_new = 0.5 * (lo + hi)
-        if abs(t_new - t) <= 1e-16 * (1.0 + abs(t)):
-            t = t_new
-            break
-        t = t_new
-    return t
-
-
 def optimal_scale_linear(X, Y, pi, rho, details=False):
     """theta solving a log(theta) + 2 b theta + c = 0 for the plain-KL profile.
 
     a = 2 rho m(pi), b the distortion at pi, c = rho (S1 + S2). The root is
-    theta = exp(-W((2b/a) e^{-c/a}) - c/a), refined by a bracketed Newton
-    iteration so the returned residual is at most 1e-10.
+    theta = exp(u - W(z)), u = -c/a, z = (2b/a) e^u (theta = e^u when b = 0),
+    with W taken from log z. A few Newton steps on h(t) = a t + 2b e^t + c,
+    convex and increasing in t = log theta, then bring the returned residual
+    to roundoff: after the first step each iterate lies right of the root and
+    moves left. A root past the float range, in theta or in the rescaled mass
+    theta m(pi), is a ValueError.
     """
     if not rho > 0:
         raise ValueError("rho must be positive")
     P, m = _unit_plan(pi)
     a, b, c = _linear_foc_terms(X, Y, P, rho)
     u = -c / a
-    if b == 0:
-        # h(t) = a t + c is linear, so the root is exact; skip the Newton
-        # polish, whose bracket is sized for the exponential branch and
-        # would truncate large |t|. Cap at 709 to keep exp representable.
-        t = min(u, 709.0)
-    elif u > 650.0:
-        # exp(u) would overflow; for huge z, W(z) ~ log z - log log z
-        lz = math.log(2.0 * b / a) + u
-        w = lz - math.log(max(lz, 1e-300))
-        w = _halley_polish(w, lz)
-        t = _newton_log_root(a, b, c, u - w)
-    else:
-        t = _newton_log_root(a, b, c, u - lambert_w((2.0 * b / a) * math.exp(u)))
-    theta = math.exp(t) / m
+    t = u - _w_of_log(math.log(2.0 * b / a) + u) if b > 0 else u
+    try:
+        for _ in range(4):
+            e = 2.0 * b * math.exp(t)
+            step = (a * t + e + c) / (a + e)
+            t -= step
+            if abs(step) <= 1e-15 * (1.0 + abs(t)):
+                break
+        theta = math.exp(t) / m
+    except OverflowError:
+        theta = math.inf
+    if theta == math.inf:
+        raise ValueError("the optimal scale overflows")
     if not details:
         return theta
     a, b, c = _linear_foc_terms(X, Y, plan_values(pi), rho)
     residual = a * math.log(theta) + 2.0 * b * theta + c
     return theta, {"a": a, "b": b, "c": c, "foc_residual": residual}
-
-
-def _halley_polish(w, log_z):
-    """Halley steps on w + log w = log z (log form, safe for huge z)."""
-    for _ in range(64):
-        f = w + math.log(w) - log_z
-        step = f * w / (w + 1.0)
-        w -= step
-        if abs(step) <= 1e-15 * (1.0 + abs(w)):
-            break
-    return w
 
 
 def scaling_bias_report(X, Y, pi, rho, kappa_grid):

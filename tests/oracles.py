@@ -105,6 +105,53 @@ def ternary_min(f, lo, hi, iters=300):
     return 0.5 * (a + b)
 
 
+def lambert_w_halley(z, tol=1e-15, max_iter=64):
+    """Principal-branch W(z), z >= 0, by Halley steps on w e^w = z from log1p(z).
+
+    Forms e^w, so it holds for z up to about 1e305.
+    """
+    if z == 0.0:
+        return 0.0
+    w = math.log1p(z)
+    for _ in range(max_iter):
+        e = math.exp(w)
+        f = w * e - z
+        step = f / (e * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+        w -= step
+        if abs(step) <= tol * (1.0 + abs(w)):
+            break
+    return w
+
+
+def newton_log_root(a, b, c, t0, lo=-745.0, hi=60.0):
+    """Root of h(t) = a t + 2 b e^t + c in [lo, hi] by Newton steps that fall
+    back to bisection whenever they leave the shrinking bracket."""
+    t = min(max(t0, lo), hi)
+    for _ in range(200):
+        e = 2.0 * b * math.exp(t)
+        h = a * t + e + c
+        if h > 0:
+            hi = min(hi, t)
+        else:
+            lo = max(lo, t)
+        t_new = t - h / (a + e)
+        if not (lo <= t_new <= hi):
+            t_new = 0.5 * (lo + hi)
+        if abs(t_new - t) <= 1e-16 * (1.0 + abs(t)):
+            return t_new
+        t = t_new
+    return t
+
+
+def linear_scale_root(a, b, c):
+    """theta solving a log(theta) + 2 b theta + c = 0: exp(-c/a) when b = 0,
+    else the bracketed Newton root started from -c/a - W((2b/a) e^{-c/a})."""
+    u = -c / a
+    if b == 0:
+        return math.exp(u)
+    return math.exp(newton_log_root(a, b, c, u - lambert_w_halley(2.0 * b / a * math.exp(u))))
+
+
 def enumerate_vertices(A, b, c, feas_tol=1e-9):
     """Best objective over all basic feasible solutions of Ax=b, x>=0.
 

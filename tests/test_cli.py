@@ -16,13 +16,18 @@ from ugwkit.measures import MmSpace
 from conftest import random_space
 
 
-def _space_files(tmp_path, n=3, m=4, seed=0):
+def _space_files(tmp_path, n=3, m=4, seed=0, weight=None):
+    """Two random spaces; ``weight`` sets every weight (default uniform probability)."""
     rng = np.random.default_rng(seed)
-    x_path = str(tmp_path / "x.json")
-    y_path = str(tmp_path / "y.json")
-    save_space(random_space(rng, n), x_path)
-    save_space(random_space(rng, m), y_path)
-    return x_path, y_path
+    stem = "" if weight is None else "heavy_"
+    paths = []
+    for key, size in (("x", n), ("y", m)):
+        X = random_space(rng, size)
+        if weight is not None:
+            X = MmSpace(X.dist, np.full(size, weight))
+        paths.append(str(tmp_path / f"{stem}{key}.json"))
+        save_space(X, paths[-1])
+    return tuple(paths)
 
 
 class TestGen:
@@ -298,16 +303,32 @@ class TestBadInput:
         ("uot", ["--cost", "no_such_cost.csv"], "cannot load cost matrix from no_such_cost.csv"),
         ("uot", ["--mu", "no_such_mu.csv"], "cannot load weights from no_such_mu.csv"),
         ("uot", ["--nu", "no_such_nu.csv"], "cannot load weights from no_such_nu.csv"),
+        ("pu", ["--n-pos", "0"], "a point cloud needs at least one point"),
+        ("pu", ["--n-unlabeled-pos", "0", "--n-unlabeled-neg", "0"],
+         "the unlabeled pool needs at least one point"),
+        ("perturb", ["--n", "0"], "a point cloud needs at least one point"),
+        ("scale-bias", ["--n", "0"], "a point cloud needs at least one point"),
+        ("ratio-hist", ["--ns", "0"], "a point cloud needs at least one point"),
+        ("moons", ["--n-outliers", "-1"], "n_outliers must be nonnegative"),
+        ("gen", ["--kind", "two_moons_outliers", "--n-outliers", "-2"],
+         "n_outliers must be nonnegative"),
+        ("gen", ["--kind", "community_graph", "--n", "9", "--n-outliers", "-1"],
+         "n_outliers must be nonnegative"),
+        ("scale", [], "the plan must carry positive, finite mass"),
+        ("moons", ["--format", "xml"], "bad value for --format"),
+        ("moons", ["--seed", "1.5"], "bad value for --seed"),
     ])
     def test_exits_2_with_one_line(self, command, argv, message, tmp_path, capsys):
         x_path, y_path = _space_files(tmp_path)
         cost, mu, nu = _uot_files(tmp_path)
+        heavy_x, heavy_y = _space_files(tmp_path, weight=1e300)  # the product plan overflows
         inputs = {"uot": ["--cost", cost, "--mu", mu, "--nu", nu],
                   "ugw": ["--x", x_path, "--y", y_path],
                   "cgw": ["--x", x_path, "--y", y_path],
                   "flb": ["--x", x_path, "--y", y_path],
                   "moons": [], "graph-match": [], "pu": [], "ratio-hist": [],
-                  "perturb": [], "gen": []}[command]
+                  "scale": ["--x", heavy_x, "--y", heavy_y],
+                  "perturb": [], "scale-bias": [], "gen": []}[command]
         with pytest.raises(SystemExit) as exc:
             main([command, *inputs, *argv, "--out", str(tmp_path)])
         assert exc.value.code == 2
@@ -319,6 +340,7 @@ class TestBadInput:
         ("moons", "n = 2.5", "bad value for --n"),
         ("ratio-hist", "ns = 2.5", "bad value for --ns"),
         ("moons", "seeds = 1, 1.7", "bad value for --seeds"),
+        ("moons", "format = xml", "bad value for --format"),
     ])
     def test_config_value_exits_2_with_one_line(self, command, line, message, tmp_path,
                                                 capsys):
@@ -451,6 +473,21 @@ class TestDriverFlags:
         expected = {flag.replace("-", "_"): value for flag, _, value in flags}
         expected.update(out_dir=str(tmp_path), seed=0, fmt="csv")
         _assert_same_kwargs(calls[name], expected)
+
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_seed_and_format_follow_the_flag_rule(self, source, captured_drivers, tmp_path):
+        # the global flags parse like any other: 1e3 is the integer 1000
+        cli, calls = captured_drivers
+        argv = ["moons", "--out", str(tmp_path)]
+        if source == "flags":
+            argv += ["--seed", "1e3", "--format", "json"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("seed = 1e3\nformat = json\n")
+            argv += ["--config", str(cfg)]
+        assert cli.main(argv) == 0
+        assert calls["run_moons"] == {"out_dir": str(tmp_path), "seed": 1000, "fmt": "json"}
+        assert type(calls["run_moons"]["seed"]) is int
 
     def test_unset_flags_keep_the_driver_defaults(self, captured_drivers, tmp_path):
         cli, calls = captured_drivers

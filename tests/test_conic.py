@@ -71,41 +71,72 @@ class TestPerspectiveH:
             grid = oracles.perspective_H_grid(c, r, s, entropy)
             np.testing.assert_allclose(grid, closed, rtol=1e-7, atol=1e-12)
 
+    @pytest.mark.parametrize("entropy", [KL(0.7), TV(0.7), BALANCED()])
+    def test_arrays_match_scalar_calls(self, entropy):
+        rng = np.random.default_rng(3)
+        c = rng.uniform(0.0, 3.0, size=(4, 5))
+        r = rng.uniform(0.0, 2.0, size=(4, 1))
+        s = rng.uniform(0.0, 2.0, size=5)
+        s[2] = r[1, 0]  # one r = s pair, where the balanced cost is finite
+        got = perspective_H(c, r, s, entropy)
+        assert got.shape == (4, 5)
+        for i in range(4):
+            for j in range(5):
+                assert got[i, j] == perspective_H(float(c[i, j]), float(r[i, 0]), float(s[j]),
+                                                  entropy)
+        if entropy.kind == "balanced":
+            finite = np.isfinite(got)
+            assert finite[1, 2] and finite.sum() == 1
+            assert got[1, 2] == r[1, 0] * c[1, 2]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             perspective_H(-1.0, 1.0, 1.0, KL())
         with pytest.raises(ValueError):
             perspective_H(1.0, -1.0, 1.0, KL())
+        with pytest.raises(ValueError):
+            perspective_H(np.array([0.5, -1.0]), 1.0, 1.0, TV())
 
 
 class TestConeCost:
+    @staticmethod
+    def _arrays(seed, base_hi):
+        rng = np.random.default_rng(seed)
+        return (rng.uniform(0.0, base_hi, size=(6, 1)), rng.uniform(0.0, 2.0, size=(6, 1)),
+                rng.uniform(0.0, 2.0, size=7))
+
     def test_gh_is_perspective_of_squared_inputs(self):
         spec = ConeMetricSpec("gh", rho=0.8)
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            d = float(rng.uniform(0.0, 3.0))
-            r = float(rng.uniform(0.0, 2.0))
-            s = float(rng.uniform(0.0, 2.0))
-            np.testing.assert_allclose(
-                cone_cost(spec, d, r, s),
-                perspective_H(d * d, r * r, s * s, KL(0.8)),
-                rtol=1e-12,
-                atol=1e-15,
-            )
+        d, r, s = self._arrays(1, 3.0)
+        got = cone_cost(spec, d, r, s)
+        assert got.shape == (6, 7)
+        for (i, j), value in np.ndenumerate(got):
+            args = float(d[i, 0]), float(r[i, 0]), float(s[j])
+            want = max(oracles.gh_cone_cost(*args, 0.8), 0.0)
+            np.testing.assert_allclose(value, want, rtol=1e-12, atol=1e-15)
+            searched = oracles.perspective_H_grid(args[0] ** 2, args[1] ** 2, args[2] ** 2, KL(0.8))
+            np.testing.assert_allclose(value, searched, rtol=1e-7, atol=1e-12)
 
     def test_ptv_is_perspective_of_power_cost(self):
         spec = ConeMetricSpec("ptv", rho=0.6, q=1.5)
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            d = float(rng.uniform(0.0, 2.0))
-            r = float(rng.uniform(0.0, 2.0))
-            s = float(rng.uniform(0.0, 2.0))
-            np.testing.assert_allclose(
-                cone_cost(spec, d, r, s),
-                perspective_H(d**1.5, r, s, TV(0.6)),
-                rtol=1e-12,
-                atol=1e-15,
-            )
+        d, r, s = self._arrays(2, 2.0)
+        got = cone_cost(spec, d, r, s)
+        assert got.shape == (6, 7)
+        for (i, j), value in np.ndenumerate(got):
+            args = float(d[i, 0]), float(r[i, 0]), float(s[j])
+            want = max(oracles.ptv_cone_cost(*args, 0.6, 1.5), 0.0)
+            np.testing.assert_allclose(value, want, rtol=1e-12, atol=1e-15)
+            searched = oracles.perspective_H_grid(args[0] ** 1.5, args[1], args[2], TV(0.6))
+            np.testing.assert_allclose(value, searched, rtol=1e-7, atol=1e-12)
+
+    def test_hk_matches_oracle_past_the_cap(self):
+        spec = ConeMetricSpec("hk", rho=0.7)
+        d, r, s = self._arrays(4, 3.0)  # base distances on both sides of pi/2
+        assert (d > math.pi / 2).any() and (d < math.pi / 2).any()
+        got = cone_cost(spec, d, r, s)
+        for (i, j), value in np.ndenumerate(got):
+            want = max(oracles.hk_cone_cost(float(d[i, 0]), float(r[i, 0]), float(s[j]), 0.7), 0.0)
+            np.testing.assert_allclose(value, want, rtol=1e-12, atol=1e-15)
 
     def test_gh_base_zero_frozen(self):
         spec = ConeMetricSpec("gh", rho=2.0)
@@ -381,6 +412,21 @@ class TestSolveCgw:
             assert entry["converged"] or entry["rounds"] == 40
         assert sum(entry["pivots"] for entry in res.restart_log) == sum(pivots)
         assert len(pivots) == sum(entry["rounds"] for entry in res.restart_log)
+
+    @pytest.mark.parametrize("n,m", [(3, 6), (4, 4), (6, 3), (1, 5), (5, 1)])
+    def test_initial_plans_meet_the_moments(self, n, m):
+        # every restart starts from a feasible plan of the grid LP: row i of
+        # its radial second moments is mu_i, column j is nu_j
+        rng = np.random.default_rng([17, n, m])
+        mu, nu = rng.uniform(0.2, 1.5, n), rng.uniform(0.2, 1.5, m)
+        R = math.sqrt(mu.sum() ** 2 + nu.sum() ** 2)
+        r, s = np.linspace(0.0, R, 8), np.linspace(0.0, R, 6)
+        for make in (conic._product_init, conic._permutation_init):
+            for _ in range(5):
+                alpha = make(rng, mu, nu, r, s)
+                assert alpha.shape == (n, m, 8, 6) and alpha.min() >= 0
+                np.testing.assert_allclose(np.einsum("ijkl,k->i", alpha, r * r), mu, rtol=1e-12)
+                np.testing.assert_allclose(np.einsum("ijkl,l->j", alpha, s * s), nu, rtol=1e-12)
 
     @pytest.mark.parametrize("n,m,K,L,seed", [(2, 3, 5, 5, 1), (3, 3, 6, 6, 2), (3, 4, 10, 7, 3)])
     def test_matches_full_grid_oracle(self, monkeypatch, n, m, K, L, seed):

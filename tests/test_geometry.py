@@ -161,3 +161,13 @@ def test_point_cloud_validation():
         PointCloud(np.zeros(3))
     with pytest.raises(ValueError):
         PointCloud(np.array([[np.inf, 0.0]]))
+
+
+def test_empty_inputs_and_negative_outlier_counts_refused():
+    with pytest.raises(ValueError, match="at least one point"):
+        space_from_points(np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="at least one node"):
+        space_from_graph(WeightedGraph(0))
+    for kind in ("two_moons_outliers", "community_graph"):
+        with pytest.raises(ValueError, match="n_outliers must be nonnegative"):
+            gen_shape(kind, 9, 0, n_outliers=-1)

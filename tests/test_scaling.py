@@ -31,6 +31,13 @@ class TestLambertW:
         with pytest.raises(ValueError):
             lambert_w(-0.1)
 
+    def test_matches_halley_reference_on_wide_log_grid(self):
+        # the log-form Newton loses |log z| ulps to the rounding of log z,
+        # about 5.7e-14 relative at z = 1e-271
+        for z in np.logspace(-300, 300, 4001):
+            want = oracles.lambert_w_halley(float(z))
+            assert abs(lambert_w(float(z)) - want) <= 1e-13 * want
+
 
 def quad_profile_value(X, Y, P, rho, eps, theta):
     from ugwkit.measures import quad_kl
@@ -136,6 +143,33 @@ class TestLinearScale:
         np.testing.assert_allclose(theta, math.exp(-c / a), rtol=1e-12)
         assert abs(info["foc_residual"]) <= 1e-10
 
+    @pytest.mark.parametrize("weight", [1.0, 1e100, 1e200, 1e300])
+    @pytest.mark.parametrize("plan", [
+        [[0.3, 0.2], [0.1, 0.4]],  # b > 0
+        [[0.5, 1e-300], [1e-300, 0.5]],  # b = 0: the distortion rounds to 0
+    ])
+    def test_matches_reference_root_across_weight_scales(self, weight, plan):
+        d = np.array([[0.0, 1.0], [1.0, 0.0]])
+        X = MmSpace(d, [weight, weight])
+        theta, info = optimal_scale_linear(X, X, np.array(plan), rho=1.0, details=True)
+        assert (info["b"] > 0) == (plan[0][1] == 0.2)
+        want = oracles.linear_scale_root(info["a"], info["b"], info["c"])
+        np.testing.assert_allclose(theta, want, rtol=1e-12)
+        assert abs(info["foc_residual"]) <= 1e-10
+
+    def test_root_near_the_float_limit(self):
+        # theta = exp(-c/a) = 1.6e308 is finite, so it comes back exactly;
+        # at weights 1e308 it is 2e308, which overflows
+        d = np.array([[0.0, 1.0], [1.0, 0.0]])
+        P = np.array([[0.5, 1e-300], [1e-300, 0.5]])
+        X = MmSpace(d, [8e307, 8e307])
+        theta, info = optimal_scale_linear(X, X, P, rho=1.0, details=True)
+        np.testing.assert_allclose(theta, 1.6e308, rtol=1e-12)
+        assert abs(info["foc_residual"]) <= 1e-10
+        X = MmSpace(d, [1e308, 1e308])
+        with pytest.raises(ValueError, match="overflows"):
+            optimal_scale_linear(X, X, P, rho=1.0)
+
     def test_large_log_scale_stays_finite(self):
         # a plan around 1e-295 drives -c/a near 680; theta is huge but finite
         d = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -160,6 +194,18 @@ def test_scale_follows_the_plan_mass(solve, value):
               for scale in (1.0, 1e-20, 1e-30, 1e-100, 1e-295)]
     np.testing.assert_allclose(scaled, scaled[0], rtol=1e-12, atol=0)
     assert scaled[0] == pytest.approx(value, abs=5e-6)
+
+
+@pytest.mark.parametrize("solve", [optimal_scale_quadratic, optimal_scale_linear])
+def test_plan_mass_must_be_finite(solve):
+    # a product plan of weights 1e300 overflows to entries of inf
+    d = np.array([[0.0, 1.0], [1.0, 0.0]])
+    X = MmSpace(d, [1e300, 1e300])
+    with np.errstate(over="ignore"):
+        product = np.outer(X.weights, X.weights)
+    for P in (product, np.full((2, 2), 1e308), np.full((2, 2), np.nan)):
+        with pytest.raises(ValueError, match="positive, finite mass"):
+            solve(X, X, P, rho=1.0)
 
 
 class TestBiasReport:

@@ -10,12 +10,13 @@ in CSV and in JSON; the five drivers that sweep trials again at eps = 1e-300,
 where some or all trials raise (the plan overflows) and are recorded as
 error rows; then the solver commands on small spaces written here with
 numpy. For each run the exit code, stdout, stderr and every file written are
-compared byte for byte. One line is printed per run; the exit code is 1 if
-anything differs. Where two outputs differ only in their numbers, the line
-gives the largest relative difference |a - b| / max(|a|, |b|) between
-corresponding numbers. A number within 1e-12 of the output's largest |number|
-of zero counts as zero and is left out: a residual or a cost of 0 comes out
-as 1e-17 on one side and -1e-17 on the other. The run with the largest
+compared byte for byte, once the tree's own path (a warning names it) is
+replaced by <src> in stdout and stderr. One line is printed per run; the exit
+code is 1 if anything differs. Where two outputs differ only in their
+numbers, the line gives the largest relative difference |a - b| / max(|a|, |b|)
+between corresponding numbers. A number within 1e-12 of the output's largest
+|number| of zero counts as zero and is left out: a residual or a cost of 0
+comes out as 1e-17 on one side and -1e-17 on the other. The run with the largest
 relative difference is named at the end.
 """
 
@@ -59,6 +60,7 @@ FAILING = [
 
 def write_inputs(root):
     """Two small spaces, the second also as a CSV matrix with a weights file,
+    the two again with every weight 1e150 (a product plan of mass near 1e301),
     and a cost matrix with two weight vectors; returns their paths."""
     rng = np.random.default_rng(0)
     paths = {}
@@ -69,6 +71,9 @@ def write_inputs(root):
         paths[key] = os.path.join(root, f"{key}.json")
         with open(paths[key], "w") as fh:
             json.dump({"dist": dist.tolist(), "weights": weights.tolist(), "label": key}, fh)
+        paths[f"{key}_heavy"] = os.path.join(root, f"{key}_heavy.json")
+        with open(paths[f"{key}_heavy"], "w") as fh:
+            json.dump({"dist": dist.tolist(), "weights": [1e150] * n, "label": key}, fh)
         paths[f"{key}_csv"] = os.path.join(root, f"{key}.csv")
         paths[f"{key}_weights"] = os.path.join(root, f"{key}_weights.txt")
         np.savetxt(paths[f"{key}_csv"], dist, delimiter=",")
@@ -97,8 +102,10 @@ def solver_runs(p):
          "--with-ugw", "--eps", "0.01"],
         ["cgw", *pair, "--grid-k", "4", "--grid-l", "4", "--restarts", "3"],
         ["cgw", *pair, "--grid-k", "10", "--grid-l", "7", "--restarts", "4"],
+        ["cgw", "--x", p["y"], "--y", p["x"], "--grid-k", "4", "--grid-l", "5", "--restarts", "4"],
         ["scale", *pair, "--rho", "0.1", "--kappas", "0.5,2"],
         ["scale", *pair, "--format", "json"],
+        ["scale", "--x", p["x_heavy"], "--y", p["y_heavy"]],
         ["gen", "--kind", "two_moons_outliers", "--n", "10", "--n-outliers", "2"],
         ["gen", "--kind", "ellipse2d", "--n", "6", "--format", "json"],
         ["gen", "--kind", "community_graph", "--n", "9"],
@@ -108,17 +115,19 @@ def solver_runs(p):
 def run(src, argv, work):
     """Run one command in a fresh interpreter; returns exit code, streams, files."""
     os.makedirs(work)
-    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    src = os.path.abspath(src)
     proc = subprocess.run([sys.executable, "-m", "ugwkit.cli", *argv, "--out", "out"],
-                          cwd=work, env=env, capture_output=True, timeout=600)
+                          cwd=work, env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, timeout=600)
     files = {}
     for base, _, names in os.walk(work):
         for name in names:
             path = os.path.join(base, name)
             with open(path, "rb") as fh:
                 files[os.path.relpath(path, work)] = fh.read()
-    return {"exit code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr,
-            "files": files}
+    own = os.fsencode(src)
+    return {"exit code": proc.returncode, "stdout": proc.stdout.replace(own, b"<src>"),
+            "stderr": proc.stderr.replace(own, b"<src>"), "files": files}
 
 
 NUMBER = re.compile(rb"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
