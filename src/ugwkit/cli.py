@@ -68,8 +68,9 @@ def _coerce(value, like):
     ``like`` is a parameter's default, or its annotated type. int gives int
     (integral numbers only), float gives float (inf accepted). A tuple gives
     a list, from a comma-separated string or a single number: of ints when
-    every element of the tuple is an int, else of floats. Anything else
-    (None, a string, a switch) takes the value as it is.
+    every element of the tuple is an int, else of floats. A switch (bool)
+    takes only a bool: a config file's true or false, in any case. Anything
+    else (None, a string) takes the value as it is.
     """
     if isinstance(like, tuple):
         if isinstance(value, (list, tuple)):
@@ -81,6 +82,8 @@ def _coerce(value, like):
         parse = _to_int if all(isinstance(d, int) for d in like) else _to_float
         return [parse(v) for v in items]
     kind = like if isinstance(like, type) else type(like)
+    if kind is bool and type(value) is not bool:
+        raise ValueError(f"not true or false: {value!r}")
     if kind is int:
         return _to_int(value)
     return _to_float(value) if kind is float else value
@@ -301,7 +304,8 @@ def cmd_scale(out_dir, seed, fmt, x, y, x_weights=None, y_weights=None, rho=1.0,
               kappas=(0.25, 0.5, 1.0, 2.0, 4.0)):
     """Optimal-scale comparison table."""
     X, Y = _load_pair(x, y, x_weights, y_weights)
-    pi = np.outer(X.weights, Y.weights)
+    with np.errstate(over="ignore"):  # an infinite product mass is refused below
+        pi = np.outer(X.weights, Y.weights)
     reports = scaling_bias_report(X, Y, pi, rho, kappas)
     fields = ["kappa", "theta_quadratic", "theta_linear", "foc_residual_quadratic",
               "foc_residual_linear"]

@@ -2,9 +2,10 @@
 
 Shapes follow the experiment families: boundary samples of a 2-D/3-D ellipse,
 the unit square boundary, the unit sphere, two interleaved moons with tagged
-outliers, and a two-community weighted graph with tagged outliers. Sampling
-parameters that the experiments leave open (noise level, outlier box, semi
-axes) are artifact defaults, documented on each generator.
+outliers, and a two-community weighted graph with tagged outliers. The
+experiments set only the outlier count and the moons' noise level; the
+shapes' sizes (semi-axes, outlier box, community split and edge lengths) are
+fixed, and each generator documents its own.
 
 All generators are deterministic functions of (kind, n, seed).
 """
@@ -100,16 +101,20 @@ def graph_geodesics(g):
     return d
 
 
-def _ellipse2d(n, rng, axes=(1.0, 0.5)):
+# community graph edge lengths: within a community, across the two (and
+# between two outliers), and from an outlier to a community node
+_INTRA, _INTER, _TO_OUTLIER = 1.0, 4.0, 2.0
+
+
+def _ellipse2d(n, rng):
+    # semi-axes 1 and 0.5
     t = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    return np.column_stack([axes[0] * np.cos(t), axes[1] * np.sin(t)])
+    return np.column_stack([np.cos(t), 0.5 * np.sin(t)])
 
 
-def _ellipse3d(n, rng, axes=(1.0, 0.7, 0.4)):
-    # uniform directions on the sphere, stretched onto the ellipsoid surface
-    v = rng.standard_normal((n, 3))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return v * np.asarray(axes)
+def _ellipse3d(n, rng):
+    # uniform directions on the sphere, stretched onto the semi-axes 1, 0.7, 0.4
+    return _sphere(n, rng) * np.array([1.0, 0.7, 0.4])
 
 
 def _square(n, rng):
@@ -125,18 +130,17 @@ def _square(n, rng):
     return pts
 
 
-def _sphere(n, rng, radius=1.0):
+def _sphere(n, rng):
     v = rng.standard_normal((n, 3))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return radius * v
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _two_moons_outliers(n, rng, n_outliers=3, noise=0.05, outlier_box=((2.5, 3.5), (2.5, 3.5))):
+def _two_moons_outliers(n, rng, n_outliers=3, noise=0.05):
     """Two interleaved half circles plus uniformly placed far outliers.
 
-    The moons occupy roughly [-1.2, 2.2] x [-0.7, 1.2]; the default outlier
-    box sits at a fixed offset well outside that range. Outliers are tagged
-    -1, the moons 0 and 1.
+    The moons occupy roughly [-1.2, 2.2] x [-0.7, 1.2]; the outliers are
+    drawn from the box [2.5, 3.5]^2, well outside that range. Outliers are
+    tagged -1, the moons 0 and 1.
     """
     if n_outliers < 0:
         raise ValueError("n_outliers must be nonnegative")
@@ -149,54 +153,40 @@ def _two_moons_outliers(n, rng, n_outliers=3, noise=0.05, outlier_box=((2.5, 3.5
     pts = np.vstack([m0, m1]) + noise * rng.standard_normal((n, 2))
     tags = np.concatenate([np.zeros(n0, dtype=int), np.ones(n1, dtype=int)])
     if n_outliers > 0:
-        (x0, x1), (y0, y1) = outlier_box
         out = np.column_stack(
-            [rng.uniform(x0, x1, size=n_outliers), rng.uniform(y0, y1, size=n_outliers)]
+            [rng.uniform(2.5, 3.5, size=n_outliers), rng.uniform(2.5, 3.5, size=n_outliers)]
         )
         pts = np.vstack([pts, out])
         tags = np.concatenate([tags, -np.ones(n_outliers, dtype=int)])
     return PointCloud(pts, tags)
 
 
-def _community_graph(n, rng, sizes=None, n_outliers=2, intra=1.0, inter=4.0, to_outlier=2.0):
+def _community_graph(n, rng, n_outliers=2):
     """Two communities with class-determined edge costs and tagged outliers.
 
-    Every intra-community pair is joined at cost ``intra``, cross-community
-    pairs at ``inter``, and outliers reach every other node at ``to_outlier``
-    (outlier-outlier pairs at ``inter``: two strangers). The default split is
-    imbalanced (60/40).
+    The n - n_outliers community nodes split 60/40. Every intra-community
+    pair is joined at cost _INTRA, cross-community pairs at _INTER, and
+    outliers reach every other node at _TO_OUTLIER (outlier-outlier pairs at
+    _INTER: two strangers).
     """
     if n_outliers < 0:
         raise ValueError("n_outliers must be nonnegative")
-    if sizes is None:
-        n_core = n - n_outliers
-        if n_core < 2:
-            raise ValueError("need at least 2 community nodes")
-        a = max(1, int(round(0.6 * n_core)))
-        a = min(a, n_core - 1)
-        sizes = (a, n_core - a)
+    n_core = n - n_outliers
+    if n_core < 2:
+        raise ValueError("need at least 2 community nodes")
+    a = min(max(1, int(round(0.6 * n_core))), n_core - 1)
     tags = np.concatenate(
-        [
-            np.zeros(sizes[0], dtype=int),
-            np.ones(sizes[1], dtype=int),
-            -np.ones(n_outliers, dtype=int),
-        ]
+        [np.zeros(a, dtype=int), np.ones(n_core - a, dtype=int), -np.ones(n_outliers, dtype=int)]
     )
-    total = sizes[0] + sizes[1] + n_outliers
     edges = []
-    for i in range(total):
-        for j in range(i + 1, total):
-            ti, tj = tags[i], tags[j]
-            if ti == -1 and tj == -1:
-                w = inter
-            elif ti == -1 or tj == -1:
-                w = to_outlier
-            elif ti == tj:
-                w = intra
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (tags[i] == -1) != (tags[j] == -1):
+                w = _TO_OUTLIER
             else:
-                w = inter
+                w = _INTRA if tags[i] == tags[j] != -1 else _INTER
             edges.append((i, j, w))
-    return WeightedGraph(total, edges, tags)
+    return WeightedGraph(n, edges, tags)
 
 
 _SAMPLERS = {
@@ -214,10 +204,10 @@ def gen_shape(kind, n, seed, **params):
     """Deterministic shape sampler; returns a PointCloud or WeightedGraph.
 
     Extra keyword parameters per kind:
-      two_moons_outliers: n_outliers (default 3), noise, outlier_box
-      community_graph: sizes, n_outliers (default 2), intra, inter, to_outlier
-      ellipse2d / ellipse3d: axes; sphere: radius
-    A parameter the kind does not take is a ValueError.
+      two_moons_outliers: n_outliers (default 3), noise (default 0.05)
+      community_graph: n_outliers (default 2)
+    The other kinds take none. A parameter the kind does not take is a
+    ValueError.
     """
     if kind not in SHAPE_KINDS:
         raise ValueError(f"unknown shape kind {kind!r}; choose from {SHAPE_KINDS}")

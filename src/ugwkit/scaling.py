@@ -14,14 +14,17 @@ strictly unimodal in log theta for both functionals handled here:
   Newton steps on w + log w = log z, so z itself is never formed, and a few
   Newton steps on the stationarity condition polish the root.
 
-Both solve on the unit-mass plan pi / m(pi) and report the first-order
-residual of pi itself with details=True.
+Both solve on the unit-mass plan pi / m(pi). With details=True they report
+the first-order residual of pi itself, rescaled from the unit plan's terms,
+so a plan whose own distortion would overflow still gets a finite residual.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .measures import MmSpace, plan_values, xlogy_sum
 from .ugw import distortion_cost
@@ -78,7 +81,8 @@ def lambert_w(z):
 def _unit_plan(pi):
     """pi / m(pi) and m(pi); theta pi = (theta m) (pi / m), so scales are found on pi / m."""
     P = plan_values(pi)
-    m = float(P.sum())
+    with np.errstate(over="ignore"):  # an infinite mass is refused below
+        m = float(P.sum())
     if not 0 < m < math.inf:
         raise ValueError("the plan must carry positive, finite mass")
     return P / m, m
@@ -124,8 +128,10 @@ def optimal_scale_quadratic(X, Y, pi, rho, eps=0.0, details=False):
     theta = math.exp(-(2.0 * A + B) / (2.0 * B)) / m
     if not details:
         return theta
-    A, B = _quad_profile(X, Y, plan_values(pi), rho, eps)
-    return theta, {"foc_residual": theta * (2.0 * A + B + 2.0 * B * math.log(theta))}
+    # G(theta) of pi is the unit plan's profile at t = theta m, so its
+    # derivative in theta is m times the unit plan's derivative at t
+    t = theta * m
+    return theta, {"foc_residual": m * (t * (2.0 * A + B + 2.0 * B * math.log(t)))}
 
 
 def _linear_foc_terms(X, Y, P, rho):
@@ -166,9 +172,12 @@ def optimal_scale_linear(X, Y, pi, rho, details=False):
         raise ValueError("the optimal scale overflows")
     if not details:
         return theta
-    a, b, c = _linear_foc_terms(X, Y, plan_values(pi), rho)
-    residual = a * math.log(theta) + 2.0 * b * theta + c
-    return theta, {"a": a, "b": b, "c": c, "foc_residual": residual}
+    # the condition of pi at theta is m times the unit plan's at s = theta m,
+    # with a = m a_u, b = m^2 b_u and c = m (c_u + a_u log m)
+    s = theta * m
+    residual = m * (a * math.log(s) + 2.0 * b * s + c)
+    return theta, {"a": m * a, "b": m * m * b, "c": m * (c + a * math.log(m)),
+                   "foc_residual": residual}
 
 
 def scaling_bias_report(X, Y, pi, rho, kappa_grid):

@@ -66,7 +66,7 @@ import numpy as np
 
 from .measures import TransportPlan
 
-__all__ = ["Potentials", "SinkhornResult", "uot_sinkhorn", "plan_from_potentials"]
+__all__ = ["Potentials", "SinkhornResult", "uot_sinkhorn"]
 
 
 @dataclass(frozen=True)

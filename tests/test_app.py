@@ -214,6 +214,21 @@ class TestRunMoons:
         assert manifest["config"]["max_outer"] == 50
         assert manifest["config"]["n_outliers"] == 2
 
+    def test_failed_solves_become_error_rows(self, tmp_path):
+        # at eps = 1e-300 every solve raises (the plan overflows): the sweep
+        # records each as an error row and still writes its table and manifest
+        out = run_moons(out_dir=str(tmp_path), seed=0, seeds=[0, 1], n=8, n_outliers=2,
+                        rhos=(1.0, 0.1), eps=1e-300, max_outer=5)
+        assert out["converged"] is False
+        assert [(row["seed"], row["rho"]) for row in out["rows"]] == [
+            (0, 1.0), (0, 0.1), (1, 1.0), (1, 0.1)]
+        for row in out["rows"]:
+            assert row["converged"] is False and row["error"]
+            assert row["outlier_mass"] == ""
+        assert sorted(os.listdir(tmp_path)) == ["moons.csv", "moons_manifest.json"]
+        with open(tmp_path / "moons.csv") as fh:
+            assert len(fh.read().splitlines()) == 5
+
 
 class TestRunScaleBias:
     def test_hand_value_and_gap_signs(self, tmp_path):

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -247,6 +248,15 @@ class TestDrivers:
             assert json.load(fh)["config"]["max_outer"] == 5
         assert (tmp_path / "moons.csv").exists()
 
+    def test_failed_solves_exit_1(self, tmp_path, capsys):
+        # every solve raises at eps = 1e-300: its error rows are written and
+        # the run ends as unconverged, not as bad input
+        rc = main(["moons", "--n", "8", "--n-outliers", "2", "--rhos", "1", "--eps", "1e-300",
+                   "--max-outer", "5", "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "moons.csv").exists()
+
     def test_graph_match_accepts_max_outer(self, tmp_path):
         rc = main(["graph-match", "--n", "8", "--n-outliers", "2",
                    "--eps-grid", "0.1", "--rho-grid", "1.0", "--max-outer", "5",
@@ -329,7 +339,9 @@ class TestBadInput:
                   "moons": [], "graph-match": [], "pu": [], "ratio-hist": [],
                   "scale": ["--x", heavy_x, "--y", heavy_y],
                   "perturb": [], "scale-bias": [], "gen": []}[command]
-        with pytest.raises(SystemExit) as exc:
+        # a warning would print its own lines to stderr ahead of the error
+        with warnings.catch_warnings(), pytest.raises(SystemExit) as exc:
+            warnings.simplefilter("error")
             main([command, *inputs, *argv, "--out", str(tmp_path)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
@@ -341,13 +353,21 @@ class TestBadInput:
         ("ratio-hist", "ns = 2.5", "bad value for --ns"),
         ("moons", "seeds = 1, 1.7", "bad value for --seeds"),
         ("moons", "format = xml", "bad value for --format"),
+        # a switch takes only true or false, in any case
+        ("ugw", "debias = no", "bad value for --debias"),
+        ("ugw", "debias = off", "bad value for --debias"),
+        ("ugw", "debias = yes", "bad value for --debias"),
+        ("ugw", "debias = 0", "bad value for --debias"),
+        ("cgw", "with-ugw = 1", "bad value for --with-ugw"),
     ])
     def test_config_value_exits_2_with_one_line(self, command, line, message, tmp_path,
                                                 capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
+        x_path, y_path = _space_files(tmp_path)
+        inputs = ["--x", x_path, "--y", y_path] if command in ("ugw", "cgw") else []
         with pytest.raises(SystemExit) as exc:
-            main([command, "--config", str(cfg), "--out", str(tmp_path)])
+            main([command, *inputs, "--config", str(cfg), "--out", str(tmp_path)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err

@@ -413,12 +413,23 @@ class TestSolveCgw:
         assert sum(entry["pivots"] for entry in res.restart_log) == sum(pivots)
         assert len(pivots) == sum(entry["rounds"] for entry in res.restart_log)
 
-    @pytest.mark.parametrize("n,m", [(3, 6), (4, 4), (6, 3), (1, 5), (5, 1)])
+    @pytest.mark.parametrize("n,m", [
+        (3, 6), (4, 4), (6, 3), (1, 5), (5, 1),
+        # a weight of 0.3 is past 0.98 R^2 = 0.142, so the permutation init
+        # puts its excess on the one-sided cell of its row, or of its column
+        pytest.param((0.3, 0.05), (0.05, 0.05, 0.05), id="row-past-the-top-radius"),
+        pytest.param((0.05, 0.05, 0.05), (0.3, 0.05), id="column-past-the-top-radius"),
+    ])
     def test_initial_plans_meet_the_moments(self, n, m):
         # every restart starts from a feasible plan of the grid LP: row i of
         # its radial second moments is mu_i, column j is nu_j
-        rng = np.random.default_rng([17, n, m])
-        mu, nu = rng.uniform(0.2, 1.5, n), rng.uniform(0.2, 1.5, m)
+        if isinstance(n, int):
+            rng = np.random.default_rng([17, n, m])
+            mu, nu = rng.uniform(0.2, 1.5, n), rng.uniform(0.2, 1.5, m)
+        else:
+            rng = np.random.default_rng(17)
+            mu, nu = np.array(n), np.array(m)
+            n, m = mu.size, nu.size
         R = math.sqrt(mu.sum() ** 2 + nu.sum() ** 2)
         r, s = np.linspace(0.0, R, 8), np.linspace(0.0, R, 6)
         for make in (conic._product_init, conic._permutation_init):

@@ -51,7 +51,9 @@ def test_gen_shape_rejects_a_parameter_the_kind_does_not_take():
         gen_shape("ellipse2d", 5, seed=0, n_outliers=2)
     with pytest.raises(ValueError, match="'square' takes no parameter 'noise'"):
         gen_shape("square", 5, seed=0, noise=0.1)
-    assert gen_shape("sphere", 5, seed=0, radius=2.0).n == 5
+    with pytest.raises(ValueError, match="'sphere' takes no parameter 'radius'"):
+        gen_shape("sphere", 5, seed=0, radius=2.0)
+    assert gen_shape("two_moons_outliers", 5, seed=0, noise=0.0).n == 8
 
 
 def test_pairwise_euclidean_matches_direct():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -204,8 +205,47 @@ def test_plan_mass_must_be_finite(solve):
     with np.errstate(over="ignore"):
         product = np.outer(X.weights, X.weights)
     for P in (product, np.full((2, 2), 1e308), np.full((2, 2), np.nan)):
-        with pytest.raises(ValueError, match="positive, finite mass"):
+        # refused with no overflow warning on the way
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="positive, finite mass"):
+            warnings.simplefilter("error")
             solve(X, X, P, rho=1.0)
+
+
+@pytest.mark.parametrize("weight", [1.0, 1e100, 1e150])
+def test_residuals_stay_finite_on_heavy_plans(weight):
+    # the product plan of weights 1e150 has mass 2e301: its own distortion
+    # overflows, so the residuals are rescaled from the unit plan's terms,
+    # and each must sit at roundoff of m(pi) times the largest of them
+    rng = np.random.default_rng(7)
+    X, Y = (MmSpace(random_space(rng, n).dist, np.full(n, weight)) for n in (4, 5))
+    pi = np.outer(X.weights, Y.weights)
+    m = float(pi.sum())
+    P = pi / m
+    rho = 1.0
+
+    def log_sums(P):
+        return sum(float(np.sum(p * np.log(p / w)))
+                   for p, w in ((P.sum(axis=1), X.weights), (P.sum(axis=0), Y.weights)))
+
+    b = distortion_cost(X.dist, Y.dist, P)
+    s = log_sums(P)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        theta_q, info_q = optimal_scale_quadratic(X, Y, pi, rho, details=True)
+        theta_l, info_l = optimal_scale_linear(X, Y, pi, rho, details=True)
+    B = 4.0 * rho
+    A = b + 2.0 * rho * s - 0.5 * B
+    t = theta_q * m
+    quad_terms = (abs(2.0 * A * t), B * t, abs(2.0 * B * t * math.log(t)))
+    t = theta_l * m
+    linear_terms = (abs(2.0 * rho * math.log(t)), 2.0 * b * t, abs(rho * s))
+    for residual, terms in ((info_q["foc_residual"], quad_terms),
+                            (info_l["foc_residual"], linear_terms)):
+        assert math.isfinite(residual)
+        assert abs(residual) <= 1e-12 * m * max(terms)
+    if weight == 1.0:  # the coefficients of pi itself are finite: compare them
+        direct = [2.0 * rho * m, distortion_cost(X.dist, Y.dist, pi), rho * log_sums(pi)]
+        np.testing.assert_allclose([info_l[k] for k in "abc"], direct, rtol=1e-12)
 
 
 class TestBiasReport:

@@ -109,6 +109,9 @@ def solver_runs(p):
         ["gen", "--kind", "two_moons_outliers", "--n", "10", "--n-outliers", "2"],
         ["gen", "--kind", "ellipse2d", "--n", "6", "--format", "json"],
         ["gen", "--kind", "community_graph", "--n", "9"],
+        ["gen", "--kind", "ellipse3d", "--n", "7"],
+        ["gen", "--kind", "sphere", "--n", "6", "--format", "json"],
+        ["gen", "--kind", "square", "--n", "9"],
     ]
 
 
