@@ -216,7 +216,9 @@ def _run_quadratic(out_dir, name, X, Y, cfg, init, debias):
     ok = sol.converged
     summary = {"cost_biconvex": sol.cost_biconvex, "cost_primal": sol.cost_primal,
                "mass_pi": sol.pi.mass, "iterations": sol.outer_iterations,
-               "converged": sol.converged, "tightness": sol.diagnostics["tightness"]}
+               "converged": sol.converged,
+               **{key: sol.diagnostics[key] for key in ("sweeps", "stop_reason", "symmetric")},
+               "tightness": sol.diagnostics["tightness"]}
     if debias:
         deb = debiased_ugw(X, Y, cfg, cross=sol)
         summary["debiased"] = asdict(deb)

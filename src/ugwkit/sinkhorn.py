@@ -55,6 +55,30 @@ The stop test is the plain fixed-point residual max|T(f) - f| <= tol_pot, read
 before f moves, as with omega = 1. The sweep that passes it, like the last
 sweep before the cap, is a plain one: the returned f is T(f) and the returned
 g is the exact block optimum for it.
+
+A symmetric problem (a square cost equal to its transpose, mu = nu and
+rho1 = rho2) has the same map T for f and g, and its fixed point has f = g.
+The alternating sweeps converge slowly there: near the fixed point T acts as
+-kappa P with P a stochastic matrix and kappa = rho/(eps + rho), so one sweep
+T(T(.)) contracts the mode of an eigenvalue p of P only by kappa^2 p^2, which
+is close to 1 on the smooth modes (p near 1). Such a problem keeps one
+potential and takes averaged steps f <- f + theta (T(f) - f) (theta = 1/2 is
+the averaged iteration of Feydy et al., arXiv 1810.08278, and Sejourne et
+al., arXiv 1910.12958), which contract that mode by 1 - theta (1 + kappa p).
+theta = 1/2 damps the smooth modes to (1 - kappa)/2 and so removes the
+constant one of the balanced mode, on which plain steps oscillate for ever;
+theta = 1 is the plain step, best where P is nearly of rank one (large eps).
+So the first step takes theta = 1/2, and each later one the inverse of the
+curvature 1 + kappa p that the last step showed along its own direction (the
+Barzilai-Borwein step), clipped to [1/2, 1]; every theta there contracts
+every mode with 0 <= p < 1. Each step is one product with the single kernel
+log mu - cost/eps, absorbed as above. It stops on the same residual
+max|T(f) - f| <= tol_pot; the stopping step, like the last before the cap,
+is the plain f <- T(f), and g = T(f) at the new f costs one more product, so
+the returned pair keeps the contract above. The iteration count is then the
+number of these half-sweeps, the one for g included, and max_inner caps it
+at 2 max_inner, the products of max_inner alternating sweeps. A warm start
+(f0, g0) starts from (f0 + g0)/2.
 """
 
 from __future__ import annotations
@@ -170,6 +194,85 @@ def _lse_absorbed(kernel, h, K, top, ref):
     return _lse_rows(kernel, h, K, top)
 
 
+def _residual(step):
+    # max|T(f) - f|, refusing a potential that has left the floats
+    residual = float(abs(step).max())
+    if not math.isfinite(residual):
+        raise FloatingPointError("non-finite potential: cost scale is too large for this eps")
+    return residual
+
+
+def _alternating(k_row, k_col, f, g, eps, rho1, rho2, tol_pot, max_inner):
+    """The safeguarded over-relaxed f/g sweeps; returns f, g, sweeps, converged, residual."""
+    n, m = k_row.shape
+    fact1 = _damping(rho1, eps)
+    fact2 = _damping(rho2, eps)
+    # each kernel absorbed at a reference point: NaN until the first sweep
+    K_row, top_row, ref_row = np.empty_like(k_row), np.empty(n), np.full(m, math.nan)
+    K_col, top_col, ref_col = np.empty_like(k_col), np.empty(m), np.full(n, math.nan)
+    converged = False
+    residual = math.inf
+    omega = 1.0
+    safe1 = safe2 = 0.0
+    window = []
+    it = 0
+    for it in range(1, max_inner + 1):
+        tf = -fact1 * _lse_absorbed(k_row, g / eps, K_row, top_row, ref_row)
+        step = tf - f
+        residual = _residual(step)
+        converged = residual <= tol_pot
+        if converged or it == max_inner:
+            omega = 1.0
+        f = tf if omega == 1.0 or residual > safe1 else f + omega * step
+        tg = -fact2 * _lse_absorbed(k_col, f / eps, K_col, top_col, ref_col)
+        if omega == 1.0:
+            g = tg
+        else:
+            step = tg - g
+            g = tg if float(abs(step).max()) > safe2 else g + omega * step
+        if converged:
+            break
+        window.append(residual)
+        if len(window) == WARMUP:
+            omega = _next_omega(omega, window)
+            safe1 = _safe_step(omega, eps, rho1)
+            safe2 = _safe_step(omega, eps, rho2)
+            window = []
+    return f, g, it, converged, residual
+
+
+def _averaged(kernel, f, eps, rho, tol_pot, max_inner):
+    """The averaged single-potential steps of a symmetric problem.
+
+    Returns f, g, half-sweeps, converged, residual (see the module docstring).
+    """
+    fact = _damping(rho, eps)
+    K, top, ref = np.empty_like(kernel), np.empty(f.size), np.full(f.size, math.nan)
+    converged = False
+    residual = math.inf
+    theta = 0.5
+    last = None
+    it = 0
+    # the half-sweeps of max_inner alternating sweeps, the one for g included
+    for it in range(1, 2 * max_inner):
+        tf = -fact * _lse_absorbed(kernel, f / eps, K, top, ref)
+        step = tf - f
+        residual = _residual(step)
+        converged = residual <= tol_pot
+        if converged or it == 2 * max_inner - 1:
+            f = tf
+            break
+        if last is not None:
+            # the last move theta * last changed the residual by -(I + kappa P)
+            # applied to it; invert that on its direction (Barzilai-Borwein)
+            curv = last.dot(last - step)
+            theta = min(1.0, max(0.5, theta * last.dot(last) / curv)) if curv > 0 else 0.5
+        f = f + theta * step
+        last = step
+    g = -fact * _lse_absorbed(kernel, f / eps, K, top, ref)
+    return f, g, it + 1, converged, residual
+
+
 def uot_sinkhorn(
     cost,
     mu,
@@ -188,6 +291,11 @@ def uot_sinkhorn(
     cap is hit (the result is then flagged, not an error); the sweeps before
     it may be over-relaxed, the last one never is (see the module docstring).
     rho=inf on either side is the balanced mode for that marginal.
+
+    An exactly symmetric problem (cost equal to its transpose, mu equal to nu,
+    rho1 == rho2) runs the averaged single-potential iteration instead, and
+    ``iterations`` then counts its half-sweeps (one kernel product each,
+    2 max_inner at most).
     """
     cost = np.asarray(cost, dtype=float)
     mu = np.asarray(mu, dtype=float)
@@ -208,55 +316,26 @@ def uot_sinkhorn(
     if mu.shape != (n,) or nu.shape != (m,):
         raise ValueError("marginal sizes do not match the cost matrix")
 
-    fact1 = _damping(rho1, eps)
-    fact2 = _damping(rho2, eps)
-    # row i of k_row is log nu - cost_i./eps, row j of k_col is log mu - cost_.j/eps
+    # row i of k_row is log nu - cost_i./eps
     k_row = np.log(nu)[None, :] - cost / eps
-    k_col = np.ascontiguousarray((np.log(mu)[:, None] - cost / eps).T)
-    # each kernel absorbed at a reference point: NaN until the first sweep
-    K_row, top_row, ref_row = np.empty_like(k_row), np.empty(n), np.full(m, math.nan)
-    K_col, top_col, ref_col = np.empty_like(k_col), np.empty(m), np.full(n, math.nan)
-
     if init is None:
         f = np.zeros(n)
         g = np.zeros(m)
     else:
         f = np.array(init.f, dtype=float, copy=True)
         g = np.array(init.g, dtype=float, copy=True)
-
-    converged = False
-    residual = math.inf
-    omega = 1.0
-    safe1 = safe2 = 0.0
-    window = []
-    it = 0
+    symmetric = (n == m and rho1 == rho2 and np.array_equal(mu, nu)
+                 and np.array_equal(cost, cost.T))
     # a drift too large to square overflows to inf, which absorbs
     with np.errstate(over="ignore"):
-        for it in range(1, max_inner + 1):
-            tf = -fact1 * _lse_absorbed(k_row, g / eps, K_row, top_row, ref_row)
-            step = tf - f
-            residual = float(abs(step).max())
-            if not math.isfinite(residual):
-                raise FloatingPointError(
-                    "non-finite potential: cost scale is too large for this eps")
-            converged = residual <= tol_pot
-            if converged or it == max_inner:
-                omega = 1.0
-            f = tf if omega == 1.0 or residual > safe1 else f + omega * step
-            tg = -fact2 * _lse_absorbed(k_col, f / eps, K_col, top_col, ref_col)
-            if omega == 1.0:
-                g = tg
-            else:
-                step = tg - g
-                g = tg if float(abs(step).max()) > safe2 else g + omega * step
-            if converged:
-                break
-            window.append(residual)
-            if len(window) == WARMUP:
-                omega = _next_omega(omega, window)
-                safe1 = _safe_step(omega, eps, rho1)
-                safe2 = _safe_step(omega, eps, rho2)
-                window = []
+        if symmetric:
+            f, g, it, converged, residual = _averaged(
+                k_row, 0.5 * (f + g), eps, rho1, tol_pot, max_inner)
+        else:
+            # row j of k_col is log mu - cost_.j/eps
+            k_col = np.ascontiguousarray((np.log(mu)[:, None] - cost / eps).T)
+            f, g, it, converged, residual = _alternating(
+                k_row, k_col, f, g, eps, rho1, rho2, tol_pot, max_inner)
     if not np.all(np.isfinite(g)):
         raise FloatingPointError("non-finite potential: cost scale is too large for this eps")
 

@@ -143,6 +143,20 @@ class TestQuadratic:
             summary = json.load(fh)
         assert {"value", "cross", "self_x", "self_y", "converged"} <= set(summary["debiased"])
 
+    def test_summary_says_how_the_solve_ended(self, tmp_path):
+        x_path, y_path = _space_files(tmp_path)
+        for name, pair in (("cross", [x_path, y_path]), ("self", [x_path, x_path])):
+            out = tmp_path / name
+            rc = main(["ugw", "--x", pair[0], "--y", pair[1], "--eps", "0.05", "--tol-pot",
+                       "1e-9", "--debias", "--out", str(out)])
+            assert rc == 0
+            with open(out / "ugw_summary.json") as fh:
+                summary = json.load(fh)
+            assert summary["stop_reason"] == "tol_plan"
+            assert summary["sweeps"] >= summary["iterations"]
+            assert summary["symmetric"] is (name == "self")
+        assert summary["debiased"]["value"] == 0.0
+
     def test_gw_equal_masses(self, tmp_path, capsys):
         x_path, y_path = _space_files(tmp_path, n=4, m=5)
         rc = main(["gw", "--x", x_path, "--y", y_path, "--eps", "0.05",

@@ -263,6 +263,103 @@ class TestFusedKernel:
         assert out["rows"][0]["outlier_mass"] < 1e-100
 
 
+def _symmetric_case(rho, n=7, eps=0.05):
+    """Squared distances between points of the unit square, one weight vector
+    for both sides (a probability vector in the balanced mode)."""
+    rng = np.random.default_rng(21)
+    x = rng.uniform(size=(n, 2))
+    cost = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1)
+    mu = rng.uniform(0.3, 1.2, size=n)
+    if math.isinf(rho):
+        mu = mu / mu.sum()
+    return cost, mu, eps
+
+
+class TestSymmetricKernel:
+    """A symmetric problem runs the averaged single-potential iteration."""
+
+    @pytest.mark.parametrize("rho", [0.5, 10.0, math.inf])
+    def test_reaches_the_oracle_fixed_point_in_fewer_iterations(self, rho):
+        cost, mu, eps = _symmetric_case(rho)
+        zero = np.zeros(mu.size)
+        f, g, sweeps = oracles.sinkhorn_log_loop(cost, mu, mu, rho, rho, eps, zero, zero,
+                                                 1e-14, 50000)
+        assert sweeps < 50000
+        # balanced potentials are fixed only up to (f + c, g - c); the
+        # symmetric iteration returns the pair with f = g
+        shift = 0.5 * (f.mean() - g.mean()) if math.isinf(rho) else 0.0
+        res = uot_sinkhorn(cost, mu, mu, rho, eps=eps, tol_pot=1e-12, max_inner=50000)
+        assert res.converged and res.residual <= 1e-12
+        # half-sweeps against the oracle's full sweeps
+        assert res.iterations < sweeps
+        np.testing.assert_allclose(res.potentials.f, f - shift, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(res.potentials.g, g + shift, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("rho", [0.5, 10.0, math.inf])
+    def test_stop_point_is_a_fixed_point_to_tol_pot(self, rho):
+        cost, mu, eps = _symmetric_case(rho)
+        tol = 1e-9
+        res = uot_sinkhorn(cost, mu, mu, rho, eps=eps, tol_pot=tol, max_inner=50000)
+        again = uot_sinkhorn(cost, mu, mu, rho, eps=eps, init=res.potentials, max_inner=1)
+        assert np.max(np.abs(again.potentials.f - res.potentials.f)) <= tol
+        # the returned g is the block optimum for the returned f
+        tg = uot_sinkhorn(cost, mu, mu, rho, eps=eps, init=Potentials(res.potentials.f,
+                                                                      res.potentials.f),
+                          max_inner=1)
+        np.testing.assert_allclose(res.potentials.g, tg.potentials.f, rtol=0, atol=1e-13)
+
+    def test_warm_start_is_the_mean_of_the_two_potentials(self):
+        cost, mu, eps = _symmetric_case(1.0)
+        rng = np.random.default_rng(22)
+        f0, g0 = rng.normal(size=mu.size), rng.normal(size=mu.size)
+        mean = 0.5 * (f0 + g0)
+        a = uot_sinkhorn(cost, mu, mu, 1.0, eps=eps, init=Potentials(f0, g0), tol_pot=1e-6)
+        b = uot_sinkhorn(cost, mu, mu, 1.0, eps=eps, init=Potentials(mean, mean), tol_pot=1e-6)
+        assert a.iterations == b.iterations
+        np.testing.assert_array_equal(a.potentials.f, b.potentials.f)
+
+    @pytest.mark.parametrize("eps", [0.05, 1.0])
+    @pytest.mark.parametrize("rho", [0.5, math.inf])
+    def test_needs_no_more_kernel_products_than_the_sweeps(self, rho, eps):
+        # at eps = 1 the kernel is nearly of rank one and plain steps are best
+        cost, mu, _ = _symmetric_case(rho, n=30, eps=eps)
+        zero = np.zeros(mu.size)
+        _, _, sweeps = oracles.sinkhorn_log_loop(cost, mu, mu, rho, rho, eps, zero, zero,
+                                                 1e-10, 50000)
+        assert sweeps < 50000
+        res = uot_sinkhorn(cost, mu, mu, rho, eps=eps, tol_pot=1e-10, max_inner=50000)
+        assert res.converged
+        assert res.iterations <= 2 * sweeps
+
+    @pytest.mark.parametrize("max_inner", [1, 2, 5])
+    def test_cap_is_the_products_of_max_inner_sweeps(self, max_inner):
+        cost, mu, eps = _symmetric_case(10.0)
+        res = uot_sinkhorn(cost, mu, mu, 10.0, eps=eps, tol_pot=1e-30, max_inner=max_inner)
+        assert not res.converged
+        assert res.iterations == 2 * max_inner
+
+    @pytest.mark.parametrize("variant", ["cost-one-ulp-off", "nu-one-ulp-off", "rho2-one-ulp-off"])
+    def test_nearly_symmetric_problems_run_the_alternating_sweeps(self, variant, monkeypatch):
+        # no rate estimate ever completes, so every sweep keeps omega = 1
+        monkeypatch.setattr(sinkhorn, "WARMUP", 10**9)
+        cost, mu, eps = _symmetric_case(1.0)
+        nu = mu.copy()
+        rho2 = 1.0
+        if variant == "cost-one-ulp-off":
+            cost[0, 1] = np.nextafter(cost[0, 1], np.inf)
+        elif variant == "nu-one-ulp-off":
+            nu[0] = np.nextafter(nu[0], np.inf)
+        else:
+            rho2 = np.nextafter(1.0, np.inf)
+        zero = np.zeros(mu.size)
+        f, g, sweeps = oracles.sinkhorn_log_loop(cost, mu, nu, 1.0, rho2, eps, zero, zero,
+                                                 1e-9, 50000)
+        res = uot_sinkhorn(cost, mu, nu, 1.0, rho2, eps=eps, tol_pot=1e-9, max_inner=50000)
+        assert res.iterations == sweeps
+        np.testing.assert_allclose(res.potentials.f, f, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(res.potentials.g, g, rtol=0, atol=1e-13)
+
+
 class TestPlanFromPotentials:
     def test_matches_formula(self):
         rng = np.random.default_rng(7)

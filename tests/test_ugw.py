@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from ugwkit import ugw
 from ugwkit.flb import solve_flb
+from ugwkit.geometry import space_from_points
 from ugwkit.measures import MmSpace, TransportPlan, quad_kl
+from ugwkit.sinkhorn import uot_sinkhorn
 from ugwkit.ugw import (
     UgwConfig,
     UgwSolution,
@@ -263,6 +266,32 @@ class TestSolveUgw:
         tight = solve_ugw(X, Y, UgwConfig(eps=1e-2, rho1=1e-3, tol_pot=1e-11))
         assert tight.pi.mass <= loose.pi.mass + 1e-9
 
+    def test_sweeps_sum_the_inner_iterations(self, monkeypatch):
+        counted = []
+
+        def counting_sinkhorn(*args, **kwargs):
+            res = uot_sinkhorn(*args, **kwargs)
+            counted.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(ugw, "uot_sinkhorn", counting_sinkhorn)
+        X, Y = self.make_pair(7)
+        sol = solve_ugw(X, Y, UgwConfig(eps=1e-2, rho1=1.0, tol_pot=1e-11))
+        assert len(counted) == sol.outer_iterations
+        assert sol.diagnostics["sweeps"] == sum(counted)
+
+    def test_stop_reason_names_each_way_out(self):
+        X, Y = self.make_pair(7)
+        done = solve_ugw(X, Y, UgwConfig(eps=1e-2, rho1=1.0, tol_pot=1e-11))
+        assert done.converged and done.diagnostics["stop_reason"] == "tol_plan"
+        short = solve_ugw(X, Y, UgwConfig(eps=1e-2, rho1=1.0, tol_pot=1e-11, max_outer=2))
+        assert not short.converged and short.diagnostics["stop_reason"] == "max_outer"
+        # distances of 100s at rho = 1e-3: the first inner plan has mass 0
+        far = MmSpace(X.dist * 100.0, X.weights)
+        lost = solve_ugw(far, Y, UgwConfig(eps=1e-2, rho1=1e-3, max_outer=50))
+        assert lost.diagnostics["aborted"] == lost.diagnostics["stop_reason"]
+        assert lost.diagnostics["stop_reason"] == "plan mass underflow"
+
     def test_tightness_diagnostics_function(self):
         X, Y = self.make_pair(14)
         cfg = UgwConfig(eps=1e-2, rho1=1.0, tol_pot=1e-11)
@@ -273,6 +302,55 @@ class TestSolveUgw:
         assert d == sol.diagnostics["tightness"]
         assert d == tightness_diagnostics(X, Y, sol.pi.values, sol.gamma.values, cfg)
         assert d["plan_gap"] >= 0.0
+
+
+class TestSelfComparison:
+    """solve_ugw(X, X) runs every inner solve on an exactly symmetric problem."""
+
+    def make_space(self, seed, n=7):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(n, 2))
+        weights = rng.uniform(0.5, 1.5, size=n)
+        perm = rng.permutation(n)
+        return (space_from_points(pts, weights=weights),
+                space_from_points(pts[perm], weights=weights[perm]), perm)
+
+    @pytest.mark.parametrize("rho", [0.5, 1.0, 10.0])
+    def test_matches_the_solve_against_a_permuted_copy(self, rho):
+        X, Xp, perm = self.make_space(17)
+        cfg = UgwConfig(eps=1e-2, rho1=rho, tol_pot=1e-11)
+        own = solve_ugw(X, X, cfg)
+        other = solve_ugw(X, Xp, cfg)
+        assert own.diagnostics["symmetric"] is True
+        assert other.diagnostics["symmetric"] is False
+        assert own.converged and other.converged
+        assert own.diagnostics["inner_capped"] == other.diagnostics["inner_capped"] == 0
+        # every inner problem of the self solve took the single-potential path
+        assert own.diagnostics["sweeps"] < other.diagnostics["sweeps"]
+        np.testing.assert_allclose(own.cost_biconvex, other.cost_biconvex, rtol=1e-9)
+        # column k of the permuted solve couples point perm[k] of X
+        undone = np.empty_like(other.pi.values)
+        undone[:, perm] = other.pi.values
+        np.testing.assert_allclose(own.pi.values, undone, rtol=0, atol=1e-8)
+
+    def test_equal_copy_is_a_self_comparison(self):
+        X, _, _ = self.make_space(18)
+        cfg = UgwConfig(eps=1e-2, rho1=1.0, tol_pot=1e-11)
+        copy = MmSpace(X.dist.copy(), X.weights.copy())
+        own = solve_ugw(X, X, cfg)
+        twin = solve_ugw(X, copy, cfg)
+        assert twin.diagnostics["symmetric"] is True
+        np.testing.assert_array_equal(own.pi.values, twin.pi.values)
+        assert own.cost_biconvex == twin.cost_biconvex
+
+    def test_asymmetric_setups_keep_the_alternating_sweeps(self):
+        X, _, _ = self.make_space(19)
+        cfg = UgwConfig(eps=1e-2, rho1=1.0, tol_pot=1e-11)
+        tilted = np.outer(X.weights, X.weights)
+        tilted[0, 1] *= 1.5
+        assert not solve_ugw(X, X, cfg, init_plan=tilted).diagnostics["symmetric"]
+        uneven = UgwConfig(eps=1e-2, rho1=1.0, rho2=2.0, tol_pot=1e-11)
+        assert not solve_ugw(X, X, uneven).diagnostics["symmetric"]
 
 
 class TestDebiased:
