@@ -210,7 +210,9 @@ def solve_ugw(X, Y, cfg, init_plan=None):
     potential and averaged steps, in a handful of half-sweeps.
 
     diagnostics["inner_capped"] counts the inner calls that hit max_inner and
-    diagnostics["sweeps"] sums their iterations. ``converged`` requires the
+    diagnostics["sweeps"] sums their iterations: full sweeps (two kernel
+    products each), or half-sweeps (one product each) when
+    diagnostics["symmetric"] is true. ``converged`` requires the
     plan test to pass with no capped inner call along the way.
     diagnostics["stop_reason"] is "tol_plan", "max_outer" or, as
     diagnostics["aborted"] then says too, "plan mass underflow";

@@ -1,15 +1,15 @@
 """Compare the benchmark on two checkouts in alternating pairs of runs.
 
     python tools/bench_compare.py OLD_TREE NEW_TREE --pairs N --out BENCH_<tag>.json
-        [--workloads NAME,...] [--seconds S] [--trace-seed K]
 
 OLD_TREE and NEW_TREE are checkouts of the repository (each holds
-``perfbench/`` and ``src/``). For every workload and every seed 1..N, each
-tree's ``perfbench/run.py --trace 0`` runs once, the old tree first on odd
-seeds and the new tree first on even ones, so that a drift in the machine's
-load falls on both sides alike. Then each tree runs once with ``--trace 1`` at
-the trace seed (default 11, outside 1..N for N < 11) for the per-layer
-metrics.
+``perfbench/`` and ``src/``). The workloads and the run length are the
+``workloads`` and ``run_seconds`` that NEW_TREE's ``BENCHMARK.json``
+declares. For every workload and every seed 1..N, each tree's
+``perfbench/run.py --trace 0`` runs once, the old tree first on odd seeds and
+the new tree first on even ones, so that a drift in the machine's load falls
+on both sides alike. Then each tree runs once with ``--trace 1`` at seed 11
+(outside 1..N for N < 11) for the per-layer metrics.
 
 The output is one JSON file:
 
@@ -20,8 +20,8 @@ The output is one JSON file:
   the pairs where the new tree read lower, as "k/N") and ``pairs`` (each
   run's end-to-end metrics, failed and attempted operations and whether
   every check passed);
-- ``traced_seed<K>``: per workload and side, every per-layer metric the traced
-  run reports that is nonzero on either side. The counts among them (calls,
+- ``traced_seed11``: per workload and side, every per-layer metric that the
+  traced run of either side reports nonzero (0.0 where a side lacks it). The counts among them (calls,
   sweeps, capped calls, outer steps, LP pivots) do not depend on the machine;
   the times do.
 
@@ -36,7 +36,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("moons-outliers", "isometry-cli", "conic-grid")
+TRACE_SEED = 11
 END_TO_END = ("wall_s", "setup_s", "peak_rss_mb")
 
 
@@ -46,16 +46,12 @@ def parse_args(argv):
     p.add_argument("new_tree", type=Path)
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--workloads", default=",".join(WORKLOADS))
-    p.add_argument("--seconds", type=float, default=30.0)
-    p.add_argument("--trace-seed", type=int, default=11)
     args = p.parse_args(argv)
-    args.workloads = args.workloads.split(",")
-    unknown = sorted(set(args.workloads) - set(WORKLOADS))
-    if unknown:
-        p.error(f"unknown workload {unknown[0]!r}; choose from {', '.join(WORKLOADS)}")
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
+    bench = json.loads((args.new_tree / "BENCHMARK.json").read_text())
+    args.workloads = [w["name"] for w in bench["workloads"]]
+    args.seconds = bench["run_seconds"]
     return args
 
 
@@ -107,12 +103,13 @@ def traced(args, workload, log):
     """Per-layer metrics of one traced run per side, and whether both passed."""
     sides, correct = {}, {}
     for side, tree in (("before", args.old_tree), ("after", args.new_tree)):
-        _, result = run_once(tree, workload, args.trace_seed, args.seconds, 1)
+        _, result = run_once(tree, workload, TRACE_SEED, args.seconds, 1)
         sides[side] = {name: m["value"] for name, m in result["metrics"].items()}
         correct[side] = result["correct"]
         log(f"{workload} traced {side}: correct {result['correct']}")
-    keep = [name for name in sides["before"]
-            if sides["before"][name] or sides["after"].get(name)]
+    names = list(sides["before"]) + [n for n in sides["after"] if n not in sides["before"]]
+    keep = [name for name in names
+            if sides["before"].get(name) or sides["after"].get(name)]
     return {side: {name: sides[side].get(name, 0.0) for name in keep} for side in sides}, \
         all(correct.values())
 
@@ -127,15 +124,15 @@ def main(argv=None):
            "what": (f"old tree (before) and new tree (after), python3 perfbench/run.py "
                     f"--seconds {args.seconds:g} --trace 0, {args.pairs} pairs per workload; "
                     f"pairs alternate which side runs first (odd seeds the old tree first). "
-                    f"traced_seed{args.trace_seed}: one --trace 1 run per side at seed "
-                    f"{args.trace_seed}, per-round metrics"),
-           "machine": None, "workloads": {}, f"traced_seed{args.trace_seed}": {}}
+                    f"traced_seed{TRACE_SEED}: one --trace 1 run per side at seed "
+                    f"{TRACE_SEED}, per-round metrics"),
+           "machine": None, "workloads": {}, f"traced_seed{TRACE_SEED}": {}}
     for workload in args.workloads:
         out["workloads"][workload], machine = compare_workload(args, workload, log)
         out["machine"] = {k: v for k, v in machine.items() if k != "git_commit"}
     ok = True
     for workload in args.workloads:
-        out[f"traced_seed{args.trace_seed}"][workload], passed = traced(args, workload, log)
+        out[f"traced_seed{TRACE_SEED}"][workload], passed = traced(args, workload, log)
         ok = ok and passed
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     ok = ok and all(row[side]["correct"] for w in out["workloads"].values()
