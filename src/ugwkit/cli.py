@@ -198,7 +198,8 @@ def cmd_uot(out_dir, seed, fmt, cost, mu, nu, rho=1.0, rho2: float = None, **sin
     res = uot_sinkhorn(cost, mu, nu, rho, rho if rho2 is None else rho2, **sinkhorn)
     app.save_plan(res.plan, os.path.join(out_dir, "uot_plan.csv"))
     summary = {"plan_mass": res.plan.mass, "iterations": res.iterations,
-               "converged": res.converged, "residual": res.residual,
+               "newton_steps": res.newton_steps, "converged": res.converged,
+               "residual": res.residual,
                "transport_cost": float(np.vdot(cost, res.plan.values))}
     _write_json(summary, os.path.join(out_dir, "uot_summary.json"))
     print(f"uot: mass={summary['plan_mass']:.6g} iterations={res.iterations} "
@@ -217,7 +218,8 @@ def _run_quadratic(out_dir, name, X, Y, cfg, init, debias):
     summary = {"cost_biconvex": sol.cost_biconvex, "cost_primal": sol.cost_primal,
                "mass_pi": sol.pi.mass, "iterations": sol.outer_iterations,
                "converged": sol.converged,
-               **{key: sol.diagnostics[key] for key in ("sweeps", "stop_reason", "symmetric")},
+               **{key: sol.diagnostics[key] for key in ("sweeps", "newton_steps", "stop_reason",
+                                                          "symmetric")},
                "tightness": sol.diagnostics["tightness"]}
     if debias:
         deb = debiased_ugw(X, Y, cfg, cross=sol)
@@ -269,7 +271,7 @@ def cmd_flb(out_dir, seed, fmt, x, y, x_weights=None, y_weights=None, rho=1.0,
     res = solve_flb(X, Y, (rho, rho if rho2 is None else rho2), **sinkhorn)
     app.save_plan(res.plan, os.path.join(out_dir, "flb_plan.csv"))
     summary = {"plan_mass": res.plan.mass, "iterations": res.iterations,
-               "converged": res.converged, "residual": res.residual}
+               "newton_steps": res.newton_steps, "converged": res.converged, "residual": res.residual}
     _write_json(summary, os.path.join(out_dir, "flb_summary.json"))
     print(f"flb: mass={summary['plan_mass']:.6g} converged={res.converged}")
     return res.converged

@@ -56,6 +56,41 @@ before f moves, as with omega = 1. The sweep that passes it, like the last
 sweep before the cap, is a plain one: the returned f is T(f) and the returned
 g is the exact block optimum for it.
 
+Newton mode. Over-relaxation cannot help a call that contracts slowly even at
+its best omega: large rho, where the translation (f + c, g - c) is damped
+only by eps/rho, or the balanced mode at small eps. When the rate a WARMUP
+window shows (the one that sets omega) passes NEWTON_RATE, the call's sweeps
+turn plain and each one but the last is followed by a Newton step on the
+concave dual (Brauer, Clason, Lorenz & Wirth, arXiv 1710.06635; Tang et al.,
+ICLR 2024)
+
+    D(f, g) = -rho1 <mu, e^{-f/rho1}> - rho2 <nu, e^{-g/rho2}> - eps m(pi),
+
+whose rho = inf terms are <mu, f> and <nu, g>. Its gradient in f is
+a - pi_1 with a = mu e^{-f/rho1} (a = mu at rho1 = inf), and the plain
+g half-sweep before the step leaves the g gradient b - pi_2 at zero
+(b = nu e^{-g/rho2}). So g is eliminated through its block of the Hessian,
+and the f step solves (np.linalg.solve) the n x n Schur complement
+
+    S = diag(a/rho1 + pi_1/eps) - (pi/eps) diag(1/(b/rho2 + pi_2/eps)) (pi/eps)^T
+
+against the f gradient; the g step is -diag(1/(b/rho2 + pi_2/eps)) (pi/eps)^T
+times it. The diagonal term d = a/rho1 + pi_1/eps is taken as
+(1 + RIDGE) d, a Levenberg-Marquardt term that keeps S invertible where the
+plan splits into blocks that barely exchange mass (at small eps) and leaves
+the other directions as they are. With both sides balanced, S is singular
+along the gauge (f + c, g - c), which moves neither the plan nor D: the
+gradient is projected to mean zero and mean(d)/n times the all-ones matrix
+is added. The step is backtracked, halving its length at most NEWTON_HALVINGS
+times, until D gains at least ARMIJO times the first-order gain, with the
+gain summed from expm1 terms so that it stays exact to roundoff near the
+fixed point. So, as with _safe_step, the dual never decreases. A column
+whose plan mass and b both underflow has neither gradient nor curvature and
+takes no step. A zero entry of d, a singular or non-finite solve, or no
+accepted length refuses the step; the call then leaves Newton mode and its
+next window estimates the rate afresh. The stop test, the plain last sweep and the count of sweeps are
+those above, and nothing warns (np.errstate).
+
 A symmetric problem (a square cost equal to its transpose, mu = nu and
 rho1 = rho2) has the same map T for f and g, and its fixed point has f = g.
 The alternating sweeps converge slowly there: near the fixed point T acts as
@@ -106,6 +141,7 @@ class SinkhornResult:
     iterations: int
     converged: bool
     residual: float
+    newton_steps: int = 0
 
 
 def _damping(rho, eps):
@@ -124,6 +160,15 @@ OMEGA_SHARE = 0.95
 # Drift of the scaled potentials (f/eps or g/eps) from the point a kernel was
 # absorbed at, past which it is absorbed again (see the module docstring).
 DRIFT = 100.0
+# A call whose observed rate per sweep passes NEWTON_RATE at the end of a
+# WARMUP window follows each further sweep with a Newton step; each step tries
+# at most NEWTON_HALVINGS lengths 1, 1/2, ... and takes the first whose dual
+# gain is at least ARMIJO times the first-order one. RIDGE is the relative
+# Levenberg-Marquardt term of the Newton system.
+NEWTON_RATE = 0.5
+NEWTON_HALVINGS = 6
+ARMIJO = 1e-4
+RIDGE = 1e-12
 
 
 def _omega_for(theta):
@@ -131,17 +176,21 @@ def _omega_for(theta):
     return 1.0 + OMEGA_SHARE * (opt - 1.0)
 
 
-def _next_omega(omega, window):
-    """omega for the next WARMUP sweeps, from the residuals of the last ones.
+def _rate(window):
+    # observed residual ratio per sweep over a window; NaN when it starts at 0
+    if not window[0] > 0.0:
+        return math.nan
+    return (window[-1] / window[0]) ** (1.0 / (len(window) - 1))
+
+
+def _next_omega(omega, rate):
+    """omega for the next WARMUP sweeps, from the rate the last ones showed.
 
     At omega = 1 the residual ratio is the plain rate theta itself. At
     omega > 1 an observed rate lam above omega - 1 means omega is short of the
     optimum, and theta = (lam + omega - 1)^2 / (lam omega^2) is the SOR
     estimate behind it; omega never decreases.
     """
-    if not window[0] > 0.0:
-        return omega
-    rate = (window[-1] / window[0]) ** (1.0 / (len(window) - 1))
     if not 0.0 < rate < 1.0:
         return omega
     if omega == 1.0:
@@ -202,8 +251,66 @@ def _residual(step):
     return residual
 
 
-def _alternating(k_row, k_col, f, g, eps, rho1, rho2, tol_pot, max_inner):
-    """The safeguarded over-relaxed f/g sweeps; returns f, g, sweeps, converged, residual."""
+def _gain(scale, d, rho):
+    # dual change <scale, -rho expm1(-d/rho)> of a marginal term; <scale, d> at rho = inf
+    if math.isinf(rho):
+        return scale.dot(d)
+    return scale.dot(np.expm1(d / -rho)) * -rho
+
+
+def _newton(k_row, log_mu, mu, nu, f, g, eps, rho1, rho2):
+    """One Armijo-backtracked Newton step on the dual; returns f, g, taken.
+
+    See the module docstring. S is taken times eps, so S u = grad gives the
+    f step eps u, and the g step is eps v.
+    """
+    with np.errstate(all="ignore"):
+        pi = np.exp(k_row + g / eps + (f / eps + log_mu)[:, None])
+        A = p1 = pi.sum(axis=1)
+        B = pi.sum(axis=0)
+        a, b = mu, nu
+        if not math.isinf(rho1):
+            a = mu * np.exp(f / -rho1)
+            A = p1 + (eps / rho1) * a
+        if not math.isinf(rho2):
+            b = nu * np.exp(g / -rho2)
+            B = B + (eps / rho2) * b
+        if not A.min() > 0.0:
+            return f, g, False
+        # a column with no plan mass and no curvature (b underflows) has a
+        # zero gradient too, so it takes no step: 1/B is 0 there
+        Binv = np.divide(1.0, B, out=np.zeros_like(B), where=B > 0.0)
+        grad = a - p1
+        S = np.diag((1.0 + RIDGE) * A) - (pi * Binv).dot(pi.T)
+        if math.isinf(rho1) and math.isinf(rho2):
+            # the gauge (f + c, g - c) is the null space of S: step orthogonal to it
+            grad -= grad.mean()
+            S += A.mean() / A.size
+        try:
+            u = np.linalg.solve(S, grad)
+        except np.linalg.LinAlgError:
+            return f, g, False
+        v = -pi.T.dot(u) * Binv
+        slope = eps * grad.dot(u)
+        if not slope > 0.0:
+            return f, g, False
+        t = 1.0
+        for _ in range(NEWTON_HALVINGS):
+            df, dg = (t * eps) * u, (t * eps) * v
+            gain = (_gain(a, df, rho1) + _gain(b, dg, rho2)
+                    - eps * np.sum(pi * np.expm1(t * (u[:, None] + v))))
+            # a non-finite step fails this test at every length
+            if gain >= ARMIJO * t * slope:
+                return f + df, g + dg, True
+            t *= 0.5
+    return f, g, False
+
+
+def _alternating(k_row, k_col, log_mu, mu, nu, f, g, eps, rho1, rho2, tol_pot, max_inner):
+    """The safeguarded over-relaxed f/g sweeps, with Newton steps on a slow call.
+
+    Returns f, g, sweeps, Newton steps, converged, residual.
+    """
     n, m = k_row.shape
     fact1 = _damping(rho1, eps)
     fact2 = _damping(rho2, eps)
@@ -215,6 +322,8 @@ def _alternating(k_row, k_col, f, g, eps, rho1, rho2, tol_pot, max_inner):
     omega = 1.0
     safe1 = safe2 = 0.0
     window = []
+    newton = False
+    steps = 0
     it = 0
     for it in range(1, max_inner + 1):
         tf = -fact1 * _lse_absorbed(k_row, g / eps, K_row, top_row, ref_row)
@@ -230,15 +339,24 @@ def _alternating(k_row, k_col, f, g, eps, rho1, rho2, tol_pot, max_inner):
         else:
             step = tg - g
             g = tg if float(abs(step).max()) > safe2 else g + omega * step
-        if converged:
+        if converged or it == max_inner:
             break
+        if newton:
+            # a refused step hands the call back to the rate estimate
+            f, g, newton = _newton(k_row, log_mu, mu, nu, f, g, eps, rho1, rho2)
+            steps += newton
+            continue
         window.append(residual)
         if len(window) == WARMUP:
-            omega = _next_omega(omega, window)
-            safe1 = _safe_step(omega, eps, rho1)
-            safe2 = _safe_step(omega, eps, rho2)
+            rate = _rate(window)
+            if rate > NEWTON_RATE:
+                newton, omega = True, 1.0
+            else:
+                omega = _next_omega(omega, rate)
+                safe1 = _safe_step(omega, eps, rho1)
+                safe2 = _safe_step(omega, eps, rho2)
             window = []
-    return f, g, it, converged, residual
+    return f, g, it, steps, converged, residual
 
 
 def _averaged(kernel, f, eps, rho, tol_pot, max_inner):
@@ -289,13 +407,15 @@ def uot_sinkhorn(
     rho2 defaults to rho1. ``init`` warm-starts the potentials (default 0).
     Stops when the fixed-point residual max|T(f) - f| drops to tol_pot or the
     cap is hit (the result is then flagged, not an error); the sweeps before
-    it may be over-relaxed, the last one never is (see the module docstring).
+    it may be over-relaxed or followed by a Newton step, the last one never
+    is (see the module docstring); ``newton_steps`` counts the Newton steps.
     rho=inf on either side is the balanced mode for that marginal.
 
     An exactly symmetric problem (cost equal to its transpose, mu equal to nu,
     rho1 == rho2) runs the averaged single-potential iteration instead, and
     ``iterations`` then counts its half-sweeps (one kernel product each,
-    2 max_inner at most).
+    2 max_inner at most); its plan is averaged with its transpose, so it is
+    exactly symmetric.
     """
     cost = np.asarray(cost, dtype=float)
     mu = np.asarray(mu, dtype=float)
@@ -318,6 +438,7 @@ def uot_sinkhorn(
 
     # row i of k_row is log nu - cost_i./eps
     k_row = np.log(nu)[None, :] - cost / eps
+    log_mu = np.log(mu)
     if init is None:
         f = np.zeros(n)
         g = np.zeros(m)
@@ -326,6 +447,7 @@ def uot_sinkhorn(
         g = np.array(init.g, dtype=float, copy=True)
     symmetric = (n == m and rho1 == rho2 and np.array_equal(mu, nu)
                  and np.array_equal(cost, cost.T))
+    newton_steps = 0
     # a drift too large to square overflows to inf, which absorbs
     with np.errstate(over="ignore"):
         if symmetric:
@@ -333,14 +455,18 @@ def uot_sinkhorn(
                 k_row, 0.5 * (f + g), eps, rho1, tol_pot, max_inner)
         else:
             # row j of k_col is log mu - cost_.j/eps
-            k_col = np.ascontiguousarray((np.log(mu)[:, None] - cost / eps).T)
-            f, g, it, converged, residual = _alternating(
-                k_row, k_col, f, g, eps, rho1, rho2, tol_pot, max_inner)
+            k_col = np.ascontiguousarray((log_mu[:, None] - cost / eps).T)
+            f, g, it, newton_steps, converged, residual = _alternating(
+                k_row, k_col, log_mu, mu, nu, f, g, eps, rho1, rho2, tol_pot, max_inner)
     if not np.all(np.isfinite(g)):
         raise FloatingPointError("non-finite potential: cost scale is too large for this eps")
 
     plan = plan_from_potentials(f, g, cost, eps, mu, nu)
-    return SinkhornResult(Potentials(f, g), plan, it, converged, residual)
+    if symmetric:
+        # g = T(f) is off f by up to the residual; averaging the plan with its
+        # transpose makes it exactly symmetric, as the fixed point's plan is
+        plan = TransportPlan(0.5 * (plan.values + plan.values.T))
+    return SinkhornResult(Potentials(f, g), plan, it, converged, residual, newton_steps)
 
 
 def plan_from_potentials(f, g, cost, eps, mu, nu):

@@ -188,6 +188,11 @@ def _log_gap(a, b):
     return float(np.max(np.abs(np.log(a[mask]) - np.log(b[mask]))))
 
 
+def _same_space(X, Y):
+    # Y is X, or a space with equal distances and weights
+    return Y is X or (np.array_equal(X.weights, Y.weights) and np.array_equal(X.dist, Y.dist))
+
+
 def solve_ugw(X, Y, cfg, init_plan=None):
     """Alternate minimization of the biconvex relaxation (outer/inner loops).
 
@@ -212,8 +217,11 @@ def solve_ugw(X, Y, cfg, init_plan=None):
     diagnostics["inner_capped"] counts the inner calls that hit max_inner and
     diagnostics["sweeps"] sums their iterations: full sweeps (two kernel
     products each), or half-sweeps (one product each) when
-    diagnostics["symmetric"] is true. ``converged`` requires the
-    plan test to pass with no capped inner call along the way.
+    diagnostics["symmetric"] is true; diagnostics["newton_steps"] sums the
+    Newton steps that slowly contracting inner calls took between their
+    sweeps. diagnostics["log_gap"] is the last sup-norm log-plan change the
+    outer test read (NaN when no inner call finished). ``converged`` requires
+    the plan test to pass with no capped inner call along the way.
     diagnostics["stop_reason"] is "tol_plan", "max_outer" or, as
     diagnostics["aborted"] then says too, "plan mass underflow";
     diagnostics["symmetric"] says whether the self-comparison mode ran.
@@ -228,16 +236,15 @@ def solve_ugw(X, Y, cfg, init_plan=None):
             raise ValueError("init_plan shape does not match the spaces")
     # a self-comparison with a symmetric start keeps every local cost exactly
     # symmetric, so each inner solve runs the single-potential iteration
-    symmetric = (cfg.rho1 == cfg.rho2
-                 and (Y is X or (np.array_equal(X.weights, Y.weights)
-                                 and np.array_equal(X.dist, Y.dist)))
+    symmetric = (cfg.rho1 == cfg.rho2 and _same_space(X, Y)
                  and np.array_equal(gamma, gamma.T))
     f = np.zeros(X.n)
     g = np.zeros(Y.n)
 
     converged = False
     inner_capped = 0
-    sweeps = 0
+    sweeps = newton_steps = 0
+    log_gap = math.nan
     aborted = None
     pi = gamma
     it = 0
@@ -264,6 +271,7 @@ def solve_ugw(X, Y, cfg, init_plan=None):
         )
         inner_capped += not res.converged
         sweeps += res.iterations
+        newton_steps += res.newton_steps
         f, g = res.potentials.f, res.potentials.g
         raw = res.plan.values
         m_raw = float(raw.sum())
@@ -271,7 +279,8 @@ def solve_ugw(X, Y, cfg, init_plan=None):
             aborted = "plan mass underflow"
             break
         gamma = math.sqrt(m_pi / m_raw) * raw
-        if _log_gap(gamma, pi) < cfg.tol_plan:
+        log_gap = _log_gap(gamma, pi)
+        if log_gap < cfg.tol_plan:
             converged = True
             break
 
@@ -300,6 +309,7 @@ def solve_ugw(X, Y, cfg, init_plan=None):
         outer_iterations=it,
         converged=converged and inner_capped == 0 and aborted is None,
         diagnostics={"aborted": aborted, "inner_capped": inner_capped, "sweeps": sweeps,
+                     "newton_steps": newton_steps, "log_gap": log_gap,
                      "stop_reason": aborted or ("tol_plan" if converged else "max_outer"),
                      "symmetric": symmetric, "tightness": tightness},
     )
@@ -322,16 +332,20 @@ def debiased_ugw(X, Y, cfg, cross=None):
     """Debiased cost: cross - self_x/2 - self_y/2 + (eps/2)(m(mu)^2 - m(nu)^2)^2.
 
     All three runs share cfg (the self runs use the default initialization,
-    so they run solve_ugw's symmetric self-comparison mode; so does the cross
-    run of debiased_ugw(X, X), and the value is then exactly 0).
+    so they run solve_ugw's symmetric self-comparison mode).
     ``cross`` is a finished solve_ugw(X, Y, cfg, ...) to reuse, with any
     init_plan; when None it is solved here from the default initialization.
-    ``converged`` is False if any sub-run failed to converge.
+    When Y is X, or has equal distances and weights, the three terms are one
+    problem: the cross solve stands for both self terms, and the value is
+    exactly 0. ``converged`` is False if any sub-run failed to converge.
     """
     if cross is None:
         cross = solve_ugw(X, Y, cfg)
-    sx = solve_ugw(X, X, cfg)
-    sy = solve_ugw(Y, Y, cfg)
+    if _same_space(X, Y):
+        sx = sy = cross
+    else:
+        sx = solve_ugw(X, X, cfg)
+        sy = solve_ugw(Y, Y, cfg)
     corr = 0.5 * cfg.eps * (X.mass**2 - Y.mass**2) ** 2
     value = cross.cost_biconvex - 0.5 * sx.cost_biconvex - 0.5 * sy.cost_biconvex + corr
     return DebiasedResult(

@@ -382,7 +382,7 @@ def test_criterion_12_balanced_limit(criterion):
         worst = max(worst, abs(c_big - c_bal) / abs(c_bal))
     criterion(
         12,
-        worst <= 1e-3,
+        worst <= 1e-3 and converged == {"big": 20, "bal": 20} and capped == {"big": 0, "bal": 0},
         f"max relative cost gap {worst:.2e} over 20 instances; converged "
         f"{converged['big']}/20 rho=1e6, {converged['bal']}/20 balanced; capped inner calls "
         f"{capped['big']} rho=1e6, {capped['bal']} balanced",

@@ -112,6 +112,7 @@ class TestUot:
             summary = json.load(fh)
         assert summary["converged"] is True
         assert summary["plan_mass"] == pytest.approx(plan.sum(), rel=1e-9)
+        assert summary["newton_steps"] > 0
 
     def test_unconverged_exit_code(self, tmp_path):
         cost, mu, nu = _uot_files(tmp_path)
@@ -154,7 +155,21 @@ class TestQuadratic:
                 summary = json.load(fh)
             assert summary["stop_reason"] == "tol_plan"
             assert summary["sweeps"] >= summary["iterations"]
+            # the symmetric path of a self-comparison takes no Newton step
+            assert (summary["newton_steps"] > 0) is (name == "cross")
             assert summary["symmetric"] is (name == "self")
+        assert summary["debiased"]["value"] == 0.0
+
+    def test_flb_start_of_a_self_comparison_is_symmetric(self, tmp_path):
+        # the eccentricity problem of X against X is symmetric, so its plan
+        # is, and the ugw solve from it runs as a self-comparison
+        x_path, _ = _space_files(tmp_path, n=6)
+        rc = main(["ugw", "--x", x_path, "--y", x_path, "--init", "flb", "--eps", "0.05",
+                   "--tol-pot", "1e-9", "--debias", "--out", str(tmp_path)])
+        assert rc == 0
+        with open(tmp_path / "ugw_summary.json") as fh:
+            summary = json.load(fh)
+        assert summary["symmetric"] is True
         assert summary["debiased"]["value"] == 0.0
 
     def test_gw_equal_masses(self, tmp_path, capsys):

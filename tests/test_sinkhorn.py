@@ -263,6 +263,87 @@ class TestFusedKernel:
         assert out["rows"][0]["outlier_mass"] < 1e-100
 
 
+def _oracle_fixed_point(cost, mu, nu, rho1, rho2, eps):
+    """sinkhorn_log_loop's 1e-14 fixed point. At finite rho1 and rho2 its runs
+    alternate with the dual-optimal translation (f + lam, g - lam) (Sejourne,
+    Vialard & Peyre, arXiv 2201.00730): the plain sweeps contract that mode
+    only by (rho/(rho + eps))^2 each, so they alone would take ~1e8 sweeps."""
+    f, g = np.zeros(mu.size), np.zeros(nu.size)
+    for _ in range(1000):
+        f, g, sweeps = oracles.sinkhorn_log_loop(cost, mu, nu, rho1, rho2, eps, f, g, 1e-14, 100)
+        lam = 0.0
+        if not (math.isinf(rho1) or math.isinf(rho2)):
+            lam = rho1 * rho2 / (rho1 + rho2) * math.log(
+                mu.dot(np.exp(-f / rho1)) / nu.dot(np.exp(-g / rho2)))
+        if sweeps == 1 and abs(lam) <= 1e-9:
+            return f, g
+        f, g = f + lam, g - lam
+    raise AssertionError("the oracle did not settle")
+
+
+def _newton_case(rho1, rho2, eps=0.02, seed=31, n=5, m=7):
+    """Probability marginals, so the rho = 1e6 potentials stay of order 1."""
+    rng = np.random.default_rng(seed)
+    cost = rng.uniform(0.0, 2.0, size=(n, m))
+    mu = rng.uniform(0.3, 1.2, size=n)
+    nu = rng.uniform(0.3, 1.2, size=m)
+    return cost, mu / mu.sum(), nu / nu.sum(), rho1, rho2, eps
+
+
+class TestNewtonMode:
+    """A slowly contracting call follows its sweeps with Newton steps."""
+
+    @pytest.mark.parametrize("rho1, rho2", [(1e6, 1e6), (math.inf, math.inf), (math.inf, 1.0)])
+    def test_reaches_the_oracle_fixed_point(self, rho1, rho2):
+        cost, mu, nu, rho1, rho2, eps = _newton_case(rho1, rho2)
+        f, g = _oracle_fixed_point(cost, mu, nu, rho1, rho2, eps)
+        res = uot_sinkhorn(cost, mu, nu, rho1, rho2, eps=eps, tol_pot=1e-13, max_inner=50000)
+        assert res.converged and res.newton_steps > 0
+        # balanced potentials are fixed only up to (f + c, g - c); at rho = 1e6
+        # that translation is pinned only by terms eps/rho times smaller than
+        # the others, so roundoff leaves it known to about 1e-10
+        shift = 0.5 * ((f - res.potentials.f).mean() - (g - res.potentials.g).mean())
+        if not math.isinf(rho1):
+            assert abs(shift) <= 1e-9
+        elif not math.isinf(rho2):
+            assert abs(shift) <= 1e-12
+        np.testing.assert_allclose(res.potentials.f, f - shift, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.potentials.g, g + shift, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("rho1, rho2", [(1e6, 1e6), (math.inf, math.inf), (math.inf, 1.0)])
+    def test_takes_fewer_sweeps_than_the_relaxed_ones(self, rho1, rho2, monkeypatch):
+        cost, mu, nu, rho1, rho2, eps = _newton_case(rho1, rho2)
+        newton = uot_sinkhorn(cost, mu, nu, rho1, rho2, eps=eps, tol_pot=1e-9, max_inner=5000)
+        monkeypatch.setattr(sinkhorn, "NEWTON_RATE", math.inf)
+        relaxed = uot_sinkhorn(cost, mu, nu, rho1, rho2, eps=eps, tol_pot=1e-9, max_inner=5000)
+        assert relaxed.newton_steps == 0
+        assert newton.converged and newton.iterations < relaxed.iterations
+
+    def test_underflowing_plan_column_steps_without_warnings(self):
+        # column 0 costs 60 = 6000 eps everywhere: its plan entries and its
+        # e^{-g/rho2} both underflow to 0, so that column takes no step
+        cost, mu, nu, rho1, rho2, eps = _newton_case(math.inf, 0.05, eps=0.01, seed=0, m=6)
+        cost[:, 0] = 60.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = uot_sinkhorn(cost, mu, nu, rho1, rho2, eps=eps, tol_pot=1e-13,
+                               max_inner=50000)
+        assert res.converged and res.newton_steps > 0
+        assert res.plan.col_marginal[0] == 0.0
+        f, g = _oracle_fixed_point(cost, mu, nu, rho1, rho2, eps)
+        np.testing.assert_allclose(res.potentials.f, f, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.potentials.g, g, rtol=0, atol=1e-12)
+
+    def test_last_sweep_stays_plain(self):
+        # the returned pair is a plain sweep's: one more moves f by at most tol_pot
+        cost, mu, nu, rho1, rho2, eps = _newton_case(1e6, 1e6)
+        res = uot_sinkhorn(cost, mu, nu, rho1, rho2, eps=eps, tol_pot=1e-9, max_inner=50000)
+        assert res.newton_steps > 0
+        again = uot_sinkhorn(cost, mu, nu, rho1, rho2, eps=eps, init=res.potentials,
+                             max_inner=1)
+        assert again.residual <= 1e-9
+
+
 def _symmetric_case(rho, n=7, eps=0.05):
     """Squared distances between points of the unit square, one weight vector
     for both sides (a probability vector in the balanced mode)."""

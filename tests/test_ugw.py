@@ -211,12 +211,13 @@ class TestSolveUgw:
 
     @pytest.mark.parametrize("rho", [1e6, math.inf])
     def test_capped_inner_call_is_not_converged(self, rho):
-        # criterion 12's instance 1: the plan test passes after inner calls
-        # that hit max_inner, with the last inner call converged
+        # criterion 12's instance 1 with a cap of 100 sweeps (at criterion 12's
+        # 1000 every inner call converges): the plan test passes after inner
+        # calls that hit max_inner
         rng = np.random.default_rng([55, 1])
         n, m = (int(v) for v in rng.integers(4, 9, size=2))
         X, Y = random_space(rng, n), random_space(rng, m)
-        cfg = UgwConfig(eps=1e-2, rho1=rho, rho2=rho, tol_pot=1e-9, max_inner=1000,
+        cfg = UgwConfig(eps=1e-2, rho1=rho, rho2=rho, tol_pot=1e-9, max_inner=100,
                         max_outer=50)
         sol = solve_ugw(X, Y, cfg)
         assert sol.outer_iterations < cfg.max_outer and sol.diagnostics["aborted"] is None
@@ -279,6 +280,36 @@ class TestSolveUgw:
         sol = solve_ugw(X, Y, UgwConfig(eps=1e-2, rho1=1.0, tol_pot=1e-11))
         assert len(counted) == sol.outer_iterations
         assert sol.diagnostics["sweeps"] == sum(counted)
+
+    def test_newton_steps_sum_the_inner_ones(self, monkeypatch):
+        counted = []
+
+        def counting_sinkhorn(*args, **kwargs):
+            res = uot_sinkhorn(*args, **kwargs)
+            counted.append(res.newton_steps)
+            return res
+
+        monkeypatch.setattr(ugw, "uot_sinkhorn", counting_sinkhorn)
+        # criterion 12's instance 1 at rho = 1e6, whose inner calls contract slowly
+        rng = np.random.default_rng([55, 1])
+        n, m = (int(v) for v in rng.integers(4, 9, size=2))
+        X, Y = random_space(rng, n), random_space(rng, m)
+        sol = solve_ugw(X, Y, UgwConfig(eps=1e-2, rho1=1e6, tol_pot=1e-9, max_inner=1000,
+                                        max_outer=50))
+        assert sol.converged
+        assert sol.diagnostics["newton_steps"] == sum(counted) > 0
+
+    def test_log_gap_is_the_last_one_the_outer_test_read(self):
+        X, Y = self.make_pair(7)
+        cfg = UgwConfig(eps=1e-2, rho1=1.0, tol_pot=1e-11)
+        done = solve_ugw(X, Y, cfg)
+        assert done.converged and 0.0 <= done.diagnostics["log_gap"] < cfg.tol_plan
+        short = solve_ugw(X, Y, UgwConfig(eps=1e-2, rho1=1.0, tol_pot=1e-11, max_outer=2))
+        assert short.diagnostics["log_gap"] >= cfg.tol_plan
+        # the first inner plan has mass 0, so no gap was read
+        far = MmSpace(X.dist * 100.0, X.weights)
+        lost = solve_ugw(far, Y, UgwConfig(eps=1e-2, rho1=1e-3, max_outer=50))
+        assert lost.outer_iterations == 1 and math.isnan(lost.diagnostics["log_gap"])
 
     def test_stop_reason_names_each_way_out(self):
         X, Y = self.make_pair(7)

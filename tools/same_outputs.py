@@ -96,6 +96,7 @@ def solver_runs(p):
         ["ugw", *pair, "--eps", "0.05", "--debias", "--init", "flb"],
         ["ugw", *pair, "--rho", "0.5", "--eps", "0.05", "--debias"],
         ["ugw", "--x", p["x"], "--y", p["x"], "--eps", "0.05", "--debias"],
+        ["ugw", "--x", p["x"], "--y", p["x"], "--eps", "0.05", "--debias", "--init", "flb"],
         ["ugw", "--x", p["x_csv"], "--x-weights", p["x_weights"], "--y", p["y"],
          "--rho", "1", "--rho2", "0.5", "--eps", "0.1", "--max-outer", "5"],
         ["gw", *pair, "--eps", "0.05"],
