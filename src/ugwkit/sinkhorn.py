@@ -37,32 +37,20 @@ term of its row, so what the product loses is far below roundoff. A drift
 too large to square overflows to inf and so absorbs, without a warning. The
 g update is the same with the roles of f and g swapped.
 
-Each half-sweep is over-relaxed, f <- f + omega (T(f) - f) (Thibault, Chizat,
-Dossal & Papadakis, arXiv 1711.01851; Lehmann et al., arXiv 2012.12562).
-omega = 1 is the plain iteration. The first WARMUP sweeps are plain; their
-residual ratio estimates the contraction rate theta of the plain iteration
-and sets omega a little below the SOR optimum 2 / (1 + sqrt(1 - theta)), and
-every further WARMUP sweeps the observed relaxed rate raises the estimate
-while it shows omega is still short of it (Hageman & Young). Staying below
-the optimum keeps the leading eigenvalue real, so the iterates approach the
-fixed point from one side as the plain ones do instead of ringing around it.
-A relaxed step is taken only where it provably raises the dual objective
-(see _safe_step); elsewhere that half-sweep is plain, which always does. So
-the dual objective never decreases, as with omega = 1, and the overshoot by
-which a fixed omega can overflow the plan is never taken.
+The stop test is the fixed-point residual max|T(f) - f|, read before f
+moves. It passes at tol_pot, and also where tol_pot is finer than floats of
+the potentials' size resolve: at rho = 1e6 they can lie near 1e5, 1.5e-11
+apart, where no residual reaches tol_pot = 1e-12. There the residual stops
+falling; a residual no smaller than the last one passes once it is within 4
+float spacings of max|T(f)|. The returned f is T(f) and the returned g is the
+exact block optimum for it.
 
-The stop test is the plain fixed-point residual max|T(f) - f| <= tol_pot, read
-before f moves, as with omega = 1. The sweep that passes it, like the last
-sweep before the cap, is a plain one: the returned f is T(f) and the returned
-g is the exact block optimum for it.
-
-Newton mode. Over-relaxation cannot help a call that contracts slowly even at
-its best omega: large rho, where the translation (f + c, g - c) is damped
-only by eps/rho, or the balanced mode at small eps. When the rate a WARMUP
-window shows (the one that sets omega) passes NEWTON_RATE, the call's sweeps
-turn plain and each one but the last is followed by a Newton step on the
-concave dual (Brauer, Clason, Lorenz & Wirth, arXiv 1710.06635; Tang et al.,
-ICLR 2024)
+Newton mode. Plain sweeps contract slowly at large rho, where the translation
+(f + c, g - c) is damped only by eps/rho, and in the balanced mode at small
+eps. The residual ratio over each WARMUP sweeps estimates the contraction
+rate; once it passes NEWTON_RATE, each further sweep but the last is followed
+by a Newton step on the concave dual (Brauer, Clason, Lorenz & Wirth, arXiv
+1710.06635; Tang et al., ICLR 2024)
 
     D(f, g) = -rho1 <mu, e^{-f/rho1}> - rho2 <nu, e^{-g/rho2}> - eps m(pi),
 
@@ -84,12 +72,13 @@ gradient is projected to mean zero and mean(d)/n times the all-ones matrix
 is added. The step is backtracked, halving its length at most NEWTON_HALVINGS
 times, until D gains at least ARMIJO times the first-order gain, with the
 gain summed from expm1 terms so that it stays exact to roundoff near the
-fixed point. So, as with _safe_step, the dual never decreases. A column
-whose plan mass and b both underflow has neither gradient nor curvature and
-takes no step. A zero entry of d, a singular or non-finite solve, or no
-accepted length refuses the step; the call then leaves Newton mode and its
-next window estimates the rate afresh. The stop test, the plain last sweep and the count of sweeps are
-those above, and nothing warns (np.errstate).
+fixed point. So the dual never decreases, as under the sweeps, which
+maximise it block by block. A column whose plan mass and b both underflow
+has neither gradient nor curvature and takes no step. A zero entry of d, a
+singular or non-finite solve, or no accepted length refuses the step; the
+call then leaves Newton mode and its next window estimates the rate afresh.
+The stop test and the count of sweeps are those above, the returned pair is
+a plain sweep's, and nothing warns (np.errstate).
 
 A symmetric problem (a square cost equal to its transpose, mu = nu and
 rho1 = rho2) has the same map T for f and g, and its fixed point has f = g.
@@ -107,13 +96,12 @@ So the first step takes theta = 1/2, and each later one the inverse of the
 curvature 1 + kappa p that the last step showed along its own direction (the
 Barzilai-Borwein step), clipped to [1/2, 1]; every theta there contracts
 every mode with 0 <= p < 1. Each step is one product with the single kernel
-log mu - cost/eps, absorbed as above. It stops on the same residual
-max|T(f) - f| <= tol_pot; the stopping step, like the last before the cap,
-is the plain f <- T(f), and g = T(f) at the new f costs one more product, so
-the returned pair keeps the contract above. The iteration count is then the
-number of these half-sweeps, the one for g included, and max_inner caps it
-at 2 max_inner, the products of max_inner alternating sweeps. A warm start
-(f0, g0) starts from (f0 + g0)/2.
+log mu - cost/eps, absorbed as above. It stops on the same test; the
+stopping step, like the last before the cap, is the plain f <- T(f), and
+g = T(f) at the new f costs one more product, so the returned pair keeps the
+contract above. The iteration count is then the number of these half-sweeps,
+the one for g included, and max_inner caps it at 2 max_inner, the products of
+max_inner alternating sweeps. A warm start (f0, g0) starts from (f0 + g0)/2.
 """
 
 from __future__ import annotations
@@ -153,10 +141,6 @@ def _damping(rho, eps):
 
 # Sweeps per estimate of the contraction rate.
 WARMUP = 8
-# Cap on the rate estimate (omega <= 1.93), and the share of the optimal
-# over-relaxation 2 / (1 + sqrt(1 - theta)) - 1 that is used.
-THETA_MAX = 0.9999
-OMEGA_SHARE = 0.95
 # Drift of the scaled potentials (f/eps or g/eps) from the point a kernel was
 # absorbed at, past which it is absorbed again (see the module docstring).
 DRIFT = 100.0
@@ -171,48 +155,11 @@ ARMIJO = 1e-4
 RIDGE = 1e-12
 
 
-def _omega_for(theta):
-    opt = 2.0 / (1.0 + math.sqrt(1.0 - min(theta, THETA_MAX)))
-    return 1.0 + OMEGA_SHARE * (opt - 1.0)
-
-
 def _rate(window):
     # observed residual ratio per sweep over a window; NaN when it starts at 0
     if not window[0] > 0.0:
         return math.nan
     return (window[-1] / window[0]) ** (1.0 / (len(window) - 1))
-
-
-def _next_omega(omega, rate):
-    """omega for the next WARMUP sweeps, from the rate the last ones showed.
-
-    At omega = 1 the residual ratio is the plain rate theta itself. At
-    omega > 1 an observed rate lam above omega - 1 means omega is short of the
-    optimum, and theta = (lam + omega - 1)^2 / (lam omega^2) is the SOR
-    estimate behind it; omega never decreases.
-    """
-    if not 0.0 < rate < 1.0:
-        return omega
-    if omega == 1.0:
-        return _omega_for(rate)
-    if rate <= omega - 1.0:
-        return omega
-    theta = (rate + omega - 1.0) ** 2 / (rate * omega * omega)
-    return max(omega, _omega_for(theta))
-
-
-def _safe_step(omega, eps, rho):
-    """Largest residual at which an omega-step provably raises the dual.
-
-    T(f) maximises the dual objective over f for fixed g, coordinate by
-    coordinate. At distance u from that optimum coordinate i sits below it by
-    a_i (eps psi(u/eps) + rho psi(-u/rho)) with psi(z) = e^z - 1 - z, a_i > 0
-    (rho = inf drops the second term). The relaxed step maps u to
-    (1 - omega) u; with beta = omega - 1 < 1, psi(beta y) <= psi(-y) for
-    0 <= y <= 1 - beta^2, and psi(-beta y) <= psi(y) for all y >= 0, so the
-    gap shrinks in every coordinate once |u| <= (1 - beta^2) min(eps, rho).
-    """
-    return (1.0 - (omega - 1.0) ** 2) * min(eps, rho)
 
 
 def _lse_rows(kernel, shift, buf, top=None):
@@ -243,12 +190,20 @@ def _lse_absorbed(kernel, h, K, top, ref):
     return _lse_rows(kernel, h, K, top)
 
 
-def _residual(step):
-    # max|T(f) - f|, refusing a potential that has left the floats
+def _stop_test(tf, step, tol_pot, last):
+    """The residual max|T(f) - f| and whether it passes the stop test.
+
+    It passes at tol_pot, or, when it is no smaller than the last residual,
+    within 4 float spacings of max|T(f)| (see the module docstring); so
+    max|T(f)| is read only on a sweep that did not lower the residual. A
+    potential that has left the floats is refused.
+    """
     residual = float(abs(step).max())
     if not math.isfinite(residual):
         raise FloatingPointError("non-finite potential: cost scale is too large for this eps")
-    return residual
+    if residual <= tol_pot:
+        return residual, True
+    return residual, residual >= last and residual <= 4.0 * math.ulp(float(abs(tf).max()))
 
 
 def _gain(scale, d, rho):
@@ -307,7 +262,7 @@ def _newton(k_row, log_mu, mu, nu, f, g, eps, rho1, rho2):
 
 
 def _alternating(k_row, k_col, log_mu, mu, nu, f, g, eps, rho1, rho2, tol_pot, max_inner):
-    """The safeguarded over-relaxed f/g sweeps, with Newton steps on a slow call.
+    """The plain f/g sweeps, with Newton steps on a slow call.
 
     Returns f, g, sweeps, Newton steps, converged, residual.
     """
@@ -319,26 +274,15 @@ def _alternating(k_row, k_col, log_mu, mu, nu, f, g, eps, rho1, rho2, tol_pot, m
     K_col, top_col, ref_col = np.empty_like(k_col), np.empty(m), np.full(n, math.nan)
     converged = False
     residual = math.inf
-    omega = 1.0
-    safe1 = safe2 = 0.0
     window = []
     newton = False
     steps = 0
     it = 0
     for it in range(1, max_inner + 1):
         tf = -fact1 * _lse_absorbed(k_row, g / eps, K_row, top_row, ref_row)
-        step = tf - f
-        residual = _residual(step)
-        converged = residual <= tol_pot
-        if converged or it == max_inner:
-            omega = 1.0
-        f = tf if omega == 1.0 or residual > safe1 else f + omega * step
-        tg = -fact2 * _lse_absorbed(k_col, f / eps, K_col, top_col, ref_col)
-        if omega == 1.0:
-            g = tg
-        else:
-            step = tg - g
-            g = tg if float(abs(step).max()) > safe2 else g + omega * step
+        residual, converged = _stop_test(tf, tf - f, tol_pot, residual)
+        f = tf
+        g = -fact2 * _lse_absorbed(k_col, f / eps, K_col, top_col, ref_col)
         if converged or it == max_inner:
             break
         if newton:
@@ -348,13 +292,7 @@ def _alternating(k_row, k_col, log_mu, mu, nu, f, g, eps, rho1, rho2, tol_pot, m
             continue
         window.append(residual)
         if len(window) == WARMUP:
-            rate = _rate(window)
-            if rate > NEWTON_RATE:
-                newton, omega = True, 1.0
-            else:
-                omega = _next_omega(omega, rate)
-                safe1 = _safe_step(omega, eps, rho1)
-                safe2 = _safe_step(omega, eps, rho2)
+            newton = _rate(window) > NEWTON_RATE
             window = []
     return f, g, it, steps, converged, residual
 
@@ -375,8 +313,7 @@ def _averaged(kernel, f, eps, rho, tol_pot, max_inner):
     for it in range(1, 2 * max_inner):
         tf = -fact * _lse_absorbed(kernel, f / eps, K, top, ref)
         step = tf - f
-        residual = _residual(step)
-        converged = residual <= tol_pot
+        residual, converged = _stop_test(tf, step, tol_pot, residual)
         if converged or it == 2 * max_inner - 1:
             f = tf
             break
@@ -405,10 +342,11 @@ def uot_sinkhorn(
     """Run the f/g updates to a fixed point; returns a SinkhornResult.
 
     rho2 defaults to rho1. ``init`` warm-starts the potentials (default 0).
-    Stops when the fixed-point residual max|T(f) - f| drops to tol_pot or the
-    cap is hit (the result is then flagged, not an error); the sweeps before
-    it may be over-relaxed or followed by a Newton step, the last one never
-    is (see the module docstring); ``newton_steps`` counts the Newton steps.
+    Stops when the fixed-point residual max|T(f) - f| drops to tol_pot (or to
+    the float resolution of the potentials, if that is coarser) or the cap is
+    hit (the result is then flagged, not an error); the sweeps before it may
+    be followed by a Newton step, the last one never is (see the module
+    docstring); ``newton_steps`` counts the Newton steps.
     rho=inf on either side is the balanced mode for that marginal.
 
     An exactly symmetric problem (cost equal to its transpose, mu equal to nu,
@@ -430,8 +368,8 @@ def uot_sinkhorn(
         raise ValueError("max_inner must be at least 1")
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost must be finite")
-    if np.any(mu <= 0) or np.any(nu <= 0):
-        raise ValueError("mu and nu must be strictly positive")
+    if not all(np.all(np.isfinite(w)) and np.all(w > 0) for w in (mu, nu)):
+        raise ValueError("mu and nu must be finite and strictly positive")
     n, m = cost.shape
     if mu.shape != (n,) or nu.shape != (m,):
         raise ValueError("marginal sizes do not match the cost matrix")

@@ -356,10 +356,16 @@ class TestBadInput:
         ("scale", [], "the plan must carry positive, finite mass"),
         ("moons", ["--format", "xml"], "bad value for --format"),
         ("moons", ["--seed", "1.5"], "bad value for --seed"),
+        ("uot", ["--mu", "nan_mu.txt"], "mu and nu must be finite and strictly positive"),
+        ("uot", ["--mu", "inf_mu.txt"], "mu and nu must be finite and strictly positive"),
     ])
-    def test_exits_2_with_one_line(self, command, argv, message, tmp_path, capsys):
+    def test_exits_2_with_one_line(self, command, argv, message, tmp_path, capsys, monkeypatch):
         x_path, y_path = _space_files(tmp_path)
         cost, mu, nu = _uot_files(tmp_path)
+        # weights with one non-finite entry, named relative to tmp_path
+        for word in ("nan", "inf"):
+            np.savetxt(tmp_path / f"{word}_mu.txt", [0.4, float(word), 0.4])
+        monkeypatch.chdir(tmp_path)
         heavy_x, heavy_y = _space_files(tmp_path, weight=1e300)  # the product plan overflows
         inputs = {"uot": ["--cost", cost, "--mu", mu, "--nu", nu],
                   "ugw": ["--x", x_path, "--y", y_path],

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from ugwkit import sinkhorn
 from ugwkit.app import run_moons
 from ugwkit.measures import kl_div
-from ugwkit.sinkhorn import Potentials, _lse_rows, _safe_step, plan_from_potentials, uot_sinkhorn
+from ugwkit.sinkhorn import Potentials, _lse_rows, plan_from_potentials, uot_sinkhorn
 
 import oracles
 
@@ -148,6 +148,16 @@ class TestUotSinkhorn:
         b = uot_sinkhorn(cost, mu, mu, 0.5, 0.5, eps=0.1, tol_pot=1e-12)
         np.testing.assert_array_equal(a.plan.values, b.plan.values)
 
+    def test_tol_pot_below_the_float_spacing_stops_at_float_resolution(self):
+        # at rho = 1e6 the potentials lie near 1e5, 1.5e-11 apart: no residual
+        # can reach tol_pot = 1e-12, so the call stops within 4 spacings of max|f|
+        cost, mu, nu, rho1, rho2, eps = _oracle_case(0, 5, 7, 1e6, 1e6, 0.05)
+        res = uot_sinkhorn(cost, mu, nu, rho1, rho2, eps=eps, tol_pot=1e-12, max_inner=50000)
+        top = np.max(np.abs(res.potentials.f))
+        assert top > 1e4
+        assert res.converged and res.iterations < 1000
+        assert 1e-12 < res.residual <= 4 * np.spacing(top)
+
     def test_log_domain_survives_large_costs(self):
         rng = np.random.default_rng(6)
         cost = rng.uniform(0.0, 1e3, size=(5, 5))
@@ -179,7 +189,7 @@ class TestFusedKernel:
     @pytest.mark.parametrize("case", ORACLE_CASES)
     @pytest.mark.parametrize("warm", [False, True])
     def test_plain_kernel_matches_oracle(self, case, warm, monkeypatch):
-        # no rate estimate ever completes, so every sweep keeps omega = 1
+        # no rate estimate ever completes, so no call enters Newton mode
         monkeypatch.setattr(sinkhorn, "WARMUP", 10**9)
         cost, mu, nu, rho1, rho2, eps = _oracle_case(*case)
         rng = np.random.default_rng(9)
@@ -194,7 +204,8 @@ class TestFusedKernel:
 
     def test_kernel_absorbed_many_times_matches_oracle(self, monkeypatch):
         # a cold start at cost/eps up to 1e6: the scaled potentials drift far
-        # past DRIFT, so the kernels are absorbed again and again
+        # past DRIFT, so the kernels are absorbed again and again; no rate
+        # estimate ever completes, so no call enters Newton mode
         monkeypatch.setattr(sinkhorn, "WARMUP", 10**9)
         absorbed = []
 
@@ -227,7 +238,20 @@ class TestFusedKernel:
                 uot_sinkhorn(cost, mu, mu, 1.0, eps=1e-300)
 
     @pytest.mark.parametrize("case", ORACLE_CASES)
-    def test_relaxed_kernel_reaches_the_same_fixed_point(self, case):
+    def test_sweeps_without_newton_steps_are_the_plain_iteration(self, case, monkeypatch):
+        # every rate estimate completes, but none enters Newton mode
+        monkeypatch.setattr(sinkhorn, "NEWTON_RATE", math.inf)
+        cost, mu, nu, rho1, rho2, eps = _oracle_case(*case)
+        zero = np.zeros(mu.size), np.zeros(nu.size)
+        f, g, sweeps = oracles.sinkhorn_log_loop(cost, mu, nu, rho1, rho2, eps, *zero, 1e-9, 50000)
+        res = uot_sinkhorn(cost, mu, nu, rho1, rho2, eps=eps, tol_pot=1e-9, max_inner=50000)
+        assert res.newton_steps == 0
+        assert res.iterations == sweeps
+        np.testing.assert_allclose(res.potentials.f, f, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(res.potentials.g, g, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_plain_and_newton_kernel_reaches_the_same_fixed_point(self, case):
         cost, mu, nu, rho1, rho2, eps = _oracle_case(*case)
         tol = 1e-9
         zero = (np.zeros(mu.size), np.zeros(nu.size))
@@ -235,29 +259,20 @@ class TestFusedKernel:
         exact = plan_from_potentials(f, g, cost, eps, mu, nu).values
         pf, pg, plain_sweeps = oracles.sinkhorn_log_loop(cost, mu, nu, rho1, rho2, eps, *zero,
                                                          tol, 50000)
-        relaxed = uot_sinkhorn(cost, mu, nu, rho1, rho2, eps=eps, tol_pot=tol, max_inner=50000)
-        assert relaxed.converged and relaxed.residual <= tol
-        assert relaxed.iterations <= plain_sweeps
+        res = uot_sinkhorn(cost, mu, nu, rho1, rho2, eps=eps, tol_pot=tol, max_inner=50000)
+        assert res.converged and res.residual <= tol
+        assert res.iterations <= plain_sweeps
         # the stop point is a fixed point to tol_pot: one plain sweep barely moves it
-        again = uot_sinkhorn(cost, mu, nu, rho1, rho2, eps=eps, init=relaxed.potentials,
+        again = uot_sinkhorn(cost, mu, nu, rho1, rho2, eps=eps, init=res.potentials,
                              max_inner=1)
         assert again.residual <= tol
         # and it is no farther from the exact plan than the plain iteration's stop point
         plain_err = np.max(np.abs(plan_from_potentials(pf, pg, cost, eps, mu, nu).values - exact))
-        assert np.max(np.abs(relaxed.plan.values - exact)) <= plain_err + tol
-
-    @given(st.floats(0.0, 0.99), st.floats(-1.0, 1.0), st.floats(1e-3, 1.0), st.floats(1e-3, 10.0))
-    def test_safe_step_lowers_the_block_dual_gap(self, beta, z, eps, rho):
-        # gap to the block optimum at distance u: eps psi(u/eps) + rho psi(-u/rho)
-        def gap(u):
-            return eps * (math.expm1(u / eps) - u / eps) + rho * (math.expm1(-u / rho) + u / rho)
-
-        omega = 1.0 + beta
-        u = z * _safe_step(omega, eps, rho)
-        assert gap((1.0 - omega) * u) <= gap(u) * (1 + 1e-12) + 1e-300
+        assert np.max(np.abs(res.plan.values - exact)) <= plain_err + tol
 
     def test_moons_cloud_10_low_rho_has_no_overflow(self, tmp_path):
-        # criterion 11's n=16 setting, where a fixed omega of 1.8 overflows the plan
+        # criterion 11's n=16 setting at rho = 0.01: the plan stays finite and
+        # its outlier mass far below 1e-100
         out = run_moons(out_dir=str(tmp_path), seeds=[10], n=16, rhos=(0.01,), max_outer=200)
         assert out["rows"][0]["error"] == ""
         assert out["rows"][0]["outlier_mass"] < 1e-100
@@ -315,9 +330,9 @@ class TestNewtonMode:
         cost, mu, nu, rho1, rho2, eps = _newton_case(rho1, rho2)
         newton = uot_sinkhorn(cost, mu, nu, rho1, rho2, eps=eps, tol_pot=1e-9, max_inner=5000)
         monkeypatch.setattr(sinkhorn, "NEWTON_RATE", math.inf)
-        relaxed = uot_sinkhorn(cost, mu, nu, rho1, rho2, eps=eps, tol_pot=1e-9, max_inner=5000)
-        assert relaxed.newton_steps == 0
-        assert newton.converged and newton.iterations < relaxed.iterations
+        plain = uot_sinkhorn(cost, mu, nu, rho1, rho2, eps=eps, tol_pot=1e-9, max_inner=5000)
+        assert plain.newton_steps == 0
+        assert newton.converged and newton.iterations < plain.iterations
 
     def test_underflowing_plan_column_steps_without_warnings(self):
         # column 0 costs 60 = 6000 eps everywhere: its plan entries and its
@@ -421,7 +436,7 @@ class TestSymmetricKernel:
 
     @pytest.mark.parametrize("variant", ["cost-one-ulp-off", "nu-one-ulp-off", "rho2-one-ulp-off"])
     def test_nearly_symmetric_problems_run_the_alternating_sweeps(self, variant, monkeypatch):
-        # no rate estimate ever completes, so every sweep keeps omega = 1
+        # no rate estimate ever completes, so no call enters Newton mode
         monkeypatch.setattr(sinkhorn, "WARMUP", 10**9)
         cost, mu, eps = _symmetric_case(1.0)
         nu = mu.copy()

@@ -16,8 +16,11 @@ code is 1 if anything differs. Where two outputs differ only in their
 numbers, the line gives the largest relative difference |a - b| / max(|a|, |b|)
 between corresponding numbers. A number within 1e-12 of the output's largest
 |number| of zero counts as zero and is left out: a residual or a cost of 0
-comes out as 1e-17 on one side and -1e-17 on the other. The run with the largest
-relative difference is named at the end.
+comes out as 1e-17 on one side and -1e-17 on the other. The counters
+``iterations``, ``sweeps`` and ``newton_steps`` (JSON keys and ``name=value``
+in stdout) are left out of that maximum: a counter that moved is named with
+both values. The run with the largest relative difference is named at the
+end.
 """
 
 import json
@@ -137,25 +140,33 @@ def run(src, argv, work):
 
 
 NUMBER = re.compile(rb"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
+# an iteration counter: "sweeps": 235 in JSON, iterations=12 in stdout
+COUNTER = re.compile(rb'\b(iterations|sweeps|newton_steps)("?(?:: |=))(\d+)(?![\w.])')
 
 
 def relative_difference(old, new):
     """Largest |a - b| / max(|a|, |b|) over corresponding numbers of two outputs,
-    leaving out numbers at roundoff of zero; None when they differ in
-    anything but numbers."""
+    leaving out numbers at roundoff of zero and the counters, with a
+    "name old -> new" line for each counter that moved; None when they differ
+    in anything but numbers."""
     if not isinstance(old, bytes) or not isinstance(new, bytes):
         return None
+    counts = [COUNTER.findall(text) for text in (old, new)]
+    old, new = (COUNTER.sub(rb"\1\2#", text) for text in (old, new))
     if NUMBER.split(old) != NUMBER.split(new):
         return None
+    moved = [f"{a[0].decode()} {int(a[2])} -> {int(b[2])}"
+             for a, b in zip(*counts) if a[2] != b[2]]
     a = np.array([float(x) for x in NUMBER.findall(old)])
     b = np.array([float(x) for x in NUMBER.findall(new)])
     big = np.maximum(np.abs(a), np.abs(b))
-    keep = big > 1e-12 * big.max()
-    return float(np.max(np.abs(a - b)[keep] / big[keep], initial=0.0))
+    keep = big > 1e-12 * big.max(initial=0.0)
+    return float(np.max(np.abs(a - b)[keep] / big[keep], initial=0.0)), moved
 
 
 def differences(old, new):
-    """(name, largest relative difference or None) for each output that differs."""
+    """(name, (largest relative difference, moved counters) or None) for each
+    output that differs."""
     diffs = [(key, relative_difference(old[key], new[key]))
              for key in ("exit code", "stdout", "stderr") if old[key] != new[key]]
     for name in sorted(set(old["files"]) | set(new["files"])):
@@ -184,10 +195,14 @@ def main(argv=None):
             same = same and not diffs
             shown = " ".join(os.path.basename(a) if os.sep in a else a for a in cmd)
             parts = []
-            for name, rel in diffs:
-                parts.append(f"{name} (" + ("not only numbers" if rel is None
-                                            else f"numbers, max rel {rel:.1e}") + ")")
-                if rel is not None and (worst[1] is None or rel > worst[0]):
+            for name, diff in diffs:
+                if diff is None:
+                    parts.append(f"{name} (not only numbers)")
+                    continue
+                rel, moved = diff
+                shown_rel = [f"numbers, max rel {rel:.1e}"] if rel > 0 or not moved else []
+                parts.append(f"{name} (" + "; ".join(shown_rel + moved) + ")")
+                if rel > 0 and (worst[1] is None or rel > worst[0]):
                     worst = (rel, f"{shown}: {name}")
             verdict = "differs: " + ", ".join(parts) if diffs else "identical"
             print(f"{shown}: exit {new['exit code']}, {len(new['files'])} files, {verdict}")
