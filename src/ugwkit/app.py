@@ -82,6 +82,11 @@ def space_to_dict(X):
 
 
 def space_from_dict(d):
+    if not isinstance(d, dict):
+        raise ValueError("a space must be a JSON object with 'dist' and 'weights'")
+    for key in ("dist", "weights"):
+        if key not in d:
+            raise ValueError(f"a space needs the key {key!r}")
     return MmSpace(np.asarray(d["dist"], float), np.asarray(d["weights"], float), d.get("label"))
 
 

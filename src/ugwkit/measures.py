@@ -1,21 +1,19 @@
-"""Core data types: mm-spaces, transport plans, and Csiszar divergences.
+"""Core data types: mm-spaces, transport plans, and KL divergences.
 
 A metric measure space is held as a symmetric distance matrix together with a
-strictly positive weight vector. Divergences compare two nonnegative weight
-vectors through an entropy function phi; the implemented entropies are
+strictly positive weight vector. Weight vectors a, b >= 0 are compared by
 
-    KL        phi(r) = r log r - r + 1,   phi'_inf = +inf
-    TV        phi(r) = |r - 1|,           phi'_inf = 1
-    Balanced  indicator of equality (zero 0, else +inf)
+    KL(a|b) = sum_i a_i log(a_i/b_i) - a_i + b_i     (+inf if a charges b_i = 0)
 
-each multiplied by a nonnegative weight rho. The quadratic variant compares
-tensor squares a (x) a against b (x) b; for KL it is evaluated through the
-decomposition
+and the quadratic variant compares tensor squares a (x) a against b (x) b
+through the decomposition
 
     KL(a (x) b | p (x) q) = m(b) KL(a|p) + m(a) KL(b|q)
                             + (m(a) - m(p)) (m(b) - m(q))
 
-which keeps every evaluation O(n) instead of O(n^2).
+which keeps every evaluation O(n) instead of O(n^2). The entropies KL, TV
+and Balanced (an EntropySpec with its weight rho) name the marginal penalty
+of the conic settings; the solver's Balanced term is balanced_indicator.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ __all__ = [
     "KL",
     "TV",
     "BALANCED",
-    "csiszar_div",
     "quad_kl",
     "tensor_kl",
     "kl_div",
@@ -47,9 +44,9 @@ def _as_weights(a, name="weights"):
     a = np.asarray(a, dtype=float)
     if a.ndim != 1:
         raise ValueError(f"{name} must be a 1-D vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if a.size and not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
-    if np.any(a < 0):
+    if a.size and a.min() < 0:
         raise ValueError(f"{name} must be nonnegative")
     return a
 
@@ -182,40 +179,25 @@ def BALANCED():
     return EntropySpec("balanced", math.inf)
 
 
-def csiszar_div(a, b, entropy):
-    """rho * D_phi(a|b) for weight vectors a, b >= 0.
-
-    Evaluates sum_{b_i>0} phi(a_i/b_i) b_i + phi'_inf * sum_{b_i=0} a_i and
-    scales by rho. Returns +inf when singular mass meets an infinite
-    recession. 0*log 0 is 0 throughout.
-    """
+def _kl_mass(a, b):
+    """(KL(a|b), m(a), m(b)) for weight vectors a, b >= 0 of one length."""
     a = _as_weights(a, "a")
     b = _as_weights(b, "b")
     if a.shape != b.shape:
         raise ValueError("length mismatch")
-
-    if entropy.kind == "balanced":
-        return balanced_indicator(a, b)
-
+    ma, mb = float(a.sum()), float(b.sum())
     pos = b > 0
-    singular = float(a[~pos].sum())
-
-    if entropy.kind == "kl":
-        if singular > 0:
-            return math.inf
-        ap, bp = a[pos], b[pos]
-        val = xlogy_sum(ap, bp) - float(ap.sum()) + float(bp.sum())
-        return entropy.rho * val
-
-    # TV: phi'_inf = 1
+    if a[~pos].any():
+        return math.inf, ma, mb
     ap, bp = a[pos], b[pos]
-    val = float(np.abs(ap - bp).sum()) + singular
-    return entropy.rho * val
+    return xlogy_sum(ap, bp) - float(ap.sum()) + float(bp.sum()), ma, mb
 
 
 def kl_div(a, b, rho=1.0):
-    """Shorthand for csiszar_div(a, b, KL(rho))."""
-    return csiszar_div(a, b, KL(rho))
+    """rho * KL(a|b) for weight vectors a, b >= 0 and rho >= 0; +inf when a charges a zero of b."""
+    rho = KL(rho).rho  # refuses a negative or NaN rho
+    kl = _kl_mass(a, b)[0]
+    return math.inf if math.isinf(kl) else rho * kl
 
 
 def quad_kl(a, b):
@@ -223,7 +205,10 @@ def quad_kl(a, b):
 
     Unweighted (rho = 1); callers multiply by their rho.
     """
-    return tensor_kl(a, a, b, b)
+    kl, ma, mb = _kl_mass(a, b)
+    if math.isinf(kl):
+        return math.inf
+    return 2.0 * (ma * kl) + (ma - mb) * (ma - mb)
 
 
 def tensor_kl(a, b, p, q):
@@ -232,12 +217,8 @@ def tensor_kl(a, b, p, q):
     a, b, p, q are weight vectors (a against p, b against q). Used by the
     biconvex functional where the two coupled plans differ.
     """
-    kl_ap = csiszar_div(a, p, KL(1.0))
-    kl_bq = csiszar_div(b, q, KL(1.0))
+    kl_ap, ma, mp = _kl_mass(a, p)
+    kl_bq, mb, mq = _kl_mass(b, q)
     if math.isinf(kl_ap) or math.isinf(kl_bq):
         return math.inf
-    ma = float(np.sum(a))
-    mb = float(np.sum(b))
-    mp = float(np.sum(p))
-    mq = float(np.sum(q))
     return mb * kl_ap + ma * kl_bq + (ma - mp) * (mb - mq)

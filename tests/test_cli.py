@@ -358,6 +358,9 @@ class TestBadInput:
         ("moons", ["--seed", "1.5"], "bad value for --seed"),
         ("uot", ["--mu", "nan_mu.txt"], "mu and nu must be finite and strictly positive"),
         ("uot", ["--mu", "inf_mu.txt"], "mu and nu must be finite and strictly positive"),
+        ("ugw", ["--x", "no_dist.json"], "a space needs the key 'dist'"),
+        ("ugw", ["--x", "no_weights.json"], "a space needs the key 'weights'"),
+        ("ugw", ["--x", "list.json"], "a space must be a JSON object"),
     ])
     def test_exits_2_with_one_line(self, command, argv, message, tmp_path, capsys, monkeypatch):
         x_path, y_path = _space_files(tmp_path)
@@ -365,6 +368,10 @@ class TestBadInput:
         # weights with one non-finite entry, named relative to tmp_path
         for word in ("nan", "inf"):
             np.savetxt(tmp_path / f"{word}_mu.txt", [0.4, float(word), 0.4])
+        # space files that are not a dist/weights object
+        for name, content in (("no_dist", {"weights": [1.0]}), ("no_weights", {"dist": [[0]]}),
+                              ("list", [1, 2])):
+            (tmp_path / f"{name}.json").write_text(json.dumps(content))
         monkeypatch.chdir(tmp_path)
         heavy_x, heavy_y = _space_files(tmp_path, weight=1e300)  # the product plan overflows
         inputs = {"uot": ["--cost", cost, "--mu", mu, "--nu", nu],

@@ -13,7 +13,8 @@ from ugwkit.measures import (
     EntropySpec,
     MmSpace,
     TransportPlan,
-    csiszar_div,
+    _as_weights,
+    balanced_indicator,
     kl_div,
     quad_kl,
     tensor_kl,
@@ -68,6 +69,10 @@ class TestMmSpace:
         with pytest.raises(ValueError):
             MmSpace([[0.1, 1.0], [1.0, 0.0]], [1.0, 1.0])
 
+    def test_no_points_rejected(self):
+        with pytest.raises(ValueError, match="all weights are zero"):
+            MmSpace(np.zeros((0, 0)), [])
+
     def test_asymmetry_tolerance(self):
         d = np.array([[0.0, 1.0], [1.0 + 5e-13, 0.0]])
         X = MmSpace(d, [1.0, 1.0])
@@ -101,6 +106,22 @@ class TestTransportPlan:
             TransportPlan([[math.inf]])
 
 
+class TestAsWeights:
+    @pytest.mark.parametrize("value, message", [
+        ([1.0, math.nan], "w must be finite"),
+        ([math.inf, 1.0], "w must be finite"),
+        ([1.0, -1e-300], "w must be nonnegative"),
+        ([[1.0, 2.0]], r"w must be a 1-D vector, got shape \(1, 2\)"),
+    ])
+    def test_messages(self, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _as_weights(value, "w")
+
+    def test_empty_and_signed_zero_pass(self):
+        assert _as_weights([]).shape == (0,)
+        assert _as_weights([-0.0, 1.0]).shape == (2,)
+
+
 class TestEntropySpec:
     def test_kinds_and_recession(self):
         assert (KL().kind, TV().kind, BALANCED().kind) == ("kl", "tv", "balanced")
@@ -116,28 +137,23 @@ class TestCsiszarDiv:
         b = np.array([0.5, 0.5])
         assert kl_div(2.0 * b, b) == pytest.approx(2.0 * math.log(2.0) - 1.0, rel=1e-14)
 
-    def test_tv_frozen_value(self):
-        a = np.array([2.0, 1.0])
-        b = np.array([1.0, 2.0])
-        assert csiszar_div(a, b, TV()) == pytest.approx(2.0)
-
-    def test_tv_singular_mass_counted(self):
-        a = np.array([1.0, 3.0])
-        b = np.array([1.0, 0.0])
-        assert csiszar_div(a, b, TV(2.0)) == pytest.approx(6.0)
-
     def test_kl_singular_mass_is_inf(self):
         assert math.isinf(kl_div([1.0, 1.0], [1.0, 0.0]))
 
     def test_balanced_indicator(self):
         a = np.array([1.0, 2.0])
-        assert csiszar_div(a, a + 0.5 * BALANCED_ATOL, BALANCED()) == 0.0
-        assert math.isinf(csiszar_div(a, a + 1.0, BALANCED()))
+        assert balanced_indicator(a, a + 0.5 * BALANCED_ATOL) == 0.0
+        assert math.isinf(balanced_indicator(a, a + 1.0))
 
     def test_rho_scaling(self):
         a = np.array([1.0, 2.0])
         b = np.array([2.0, 1.0])
-        assert csiszar_div(a, b, KL(3.0)) == pytest.approx(3.0 * kl_div(a, b))
+        assert kl_div(a, b, 3.0) == 3.0 * kl_div(a, b)
+
+    def test_rho_checked_and_singular_inf_at_zero_rho(self):
+        with pytest.raises(ValueError, match="rho must be nonnegative"):
+            kl_div([1.0, 2.0], [2.0, 1.0], -1.0)
+        assert kl_div([1.0, 1.0], [1.0, 0.0], 0.0) == math.inf
 
     @given(weight_vectors(), weight_vectors(positive=True))
     def test_kl_matches_loop_oracle(self, a, b):
@@ -146,8 +162,6 @@ class TestCsiszarDiv:
     @given(weight_vectors(positive=True))
     def test_divergences_vanish_on_equal(self, a):
         assert kl_div(a, a) == pytest.approx(0.0, abs=1e-13)
-        assert csiszar_div(a, a, TV()) == 0.0
-        assert csiszar_div(a, a, BALANCED()) == 0.0
 
     @given(weight_vectors(), weight_vectors(positive=True))
     def test_kl_nonnegative(self, a, b):
@@ -201,3 +215,16 @@ class TestTensorKl:
         a = rng.uniform(0.1, 2.0, size=5)
         b = rng.uniform(0.1, 2.0, size=5)
         np.testing.assert_allclose(tensor_kl(a, a, b, b), quad_kl(a, b), rtol=1e-12)
+
+    @given(weight_vectors(), weight_vectors())
+    def test_diagonal_is_quad_kl_exactly(self, a, b):
+        # quad_kl evaluates the diagonal directly; it must give the same float
+        assert quad_kl(a, b) == tensor_kl(a, a, b, b)
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            tensor_kl([1.0], [1.0], [1.0, 2.0], [1.0])
+        with pytest.raises(ValueError, match="length mismatch"):
+            tensor_kl([1.0], [1.0], [1.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="length mismatch"):
+            quad_kl([1.0], [1.0, 2.0])

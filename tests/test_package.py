@@ -15,8 +15,8 @@ PUBLIC = {
     # lp
     "LpProblem", "LpSolution", "solve_lp",
     # measures
-    "BALANCED", "KL", "TV", "EntropySpec", "MmSpace", "TransportPlan", "csiszar_div",
-    "kl_div", "quad_kl", "tensor_kl",
+    "BALANCED", "KL", "TV", "EntropySpec", "MmSpace", "TransportPlan", "kl_div", "quad_kl",
+    "tensor_kl",
     # scaling
     "ScalingReport", "lambert_w", "optimal_scale_linear", "optimal_scale_quadratic",
     "scaling_bias_report",
@@ -29,7 +29,7 @@ PUBLIC = {
 
 
 def test_export_list_is_the_public_surface():
-    assert len(PUBLIC) == 54
+    assert len(PUBLIC) == 53
     assert len(ugwkit.__all__) == len(set(ugwkit.__all__))
     assert set(ugwkit.__all__) == PUBLIC
     for name in ugwkit.__all__:

@@ -20,10 +20,12 @@ The output is one JSON file:
   the pairs where the new tree read lower, as "k/N") and ``pairs`` (each
   run's end-to-end metrics, failed and attempted operations and whether
   every check passed);
-- ``traced_seed11``: per workload and side, every per-layer metric that the
-  traced run of either side reports nonzero (0.0 where a side lacks it). The counts among them (calls,
-  sweeps, capped calls, outer steps, LP pivots) do not depend on the machine;
-  the times do.
+- ``traced_seed11``: per workload and side, the per-layer counters (the
+  metrics whose unit is ``count`` in NEW_TREE's ``BENCHMARK.json``: calls,
+  sweeps, capped calls, outer steps, LP pivots, rounds) that the traced run
+  of either side reports nonzero (0 where a side lacks one). They do not
+  depend on the machine. The per-layer times are left out: one traced run
+  per side cannot resolve a change of a few percent in them.
 
 The exit code is 1 when a run fails a check or prints no result.
 """
@@ -52,6 +54,7 @@ def parse_args(argv):
     bench = json.loads((args.new_tree / "BENCHMARK.json").read_text())
     args.workloads = [w["name"] for w in bench["workloads"]]
     args.seconds = bench["run_seconds"]
+    args.counters = [m["name"] for m in bench["per_layer"] if m["unit"] == "count"]
     return args
 
 
@@ -100,17 +103,16 @@ def compare_workload(args, workload, log):
 
 
 def traced(args, workload, log):
-    """Per-layer metrics of one traced run per side, and whether both passed."""
+    """Per-layer counters of one traced run per side, and whether both passed."""
     sides, correct = {}, {}
     for side, tree in (("before", args.old_tree), ("after", args.new_tree)):
         _, result = run_once(tree, workload, TRACE_SEED, args.seconds, 1)
         sides[side] = {name: m["value"] for name, m in result["metrics"].items()}
         correct[side] = result["correct"]
         log(f"{workload} traced {side}: correct {result['correct']}")
-    names = list(sides["before"]) + [n for n in sides["after"] if n not in sides["before"]]
-    keep = [name for name in names
+    keep = [name for name in args.counters
             if sides["before"].get(name) or sides["after"].get(name)]
-    return {side: {name: sides[side].get(name, 0.0) for name in keep} for side in sides}, \
+    return {side: {name: sides[side].get(name, 0) for name in keep} for side in sides}, \
         all(correct.values())
 
 
@@ -125,7 +127,7 @@ def main(argv=None):
                     f"--seconds {args.seconds:g} --trace 0, {args.pairs} pairs per workload; "
                     f"pairs alternate which side runs first (odd seeds the old tree first). "
                     f"traced_seed{TRACE_SEED}: one --trace 1 run per side at seed "
-                    f"{TRACE_SEED}, per-round metrics"),
+                    f"{TRACE_SEED}, its per-layer counters (unit count in BENCHMARK.json)"),
            "machine": None, "workloads": {}, f"traced_seed{TRACE_SEED}": {}}
     for workload in args.workloads:
         out["workloads"][workload], machine = compare_workload(args, workload, log)

@@ -14,16 +14,18 @@ compared byte for byte, once the tree's own path (a warning names it) is
 replaced by <src> in stdout and stderr. One line is printed per run; the exit
 code is 1 if anything differs. Where two outputs differ only in their
 numbers, the line gives the largest relative difference |a - b| / max(|a|, |b|)
-between corresponding numbers. A number within 1e-12 of the output's largest
-|number| of zero counts as zero and is left out: a residual or a cost of 0
-comes out as 1e-17 on one side and -1e-17 on the other. The counters
-``iterations``, ``sweeps`` and ``newton_steps`` (JSON keys and ``name=value``
-in stdout) are left out of that maximum: a counter that moved is named with
-both values. The run with the largest relative difference is named at the
-end.
+between corresponding numbers and where it is: the key path in a JSON output
+(``tightness.plan_gap``, ``[3].ratio``), line:column in any other. A number
+within 1e-12 of the output's largest |number| of zero counts as zero and is
+left out: a residual or a cost of 0 comes out as 1e-17 on one side and
+-1e-17 on the other. The counters ``iterations``, ``sweeps`` and
+``newton_steps`` (JSON keys and ``name=value`` in stdout) are left out of
+that maximum: a counter that moved is named with both values. The run with
+the largest relative difference, and where in it, is named at the end.
 """
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -141,32 +143,73 @@ def run(src, argv, work):
 
 NUMBER = re.compile(rb"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
 # an iteration counter: "sweeps": 235 in JSON, iterations=12 in stdout
-COUNTER = re.compile(rb'\b(iterations|sweeps|newton_steps)("?(?:: |=))(\d+)(?![\w.])')
+COUNTERS = ("iterations", "sweeps", "newton_steps")
+COUNTER = re.compile(rb"\b(" + "|".join(COUNTERS).encode() + rb')("?(?:: |=))(\d+)(?![\w.])')
+
+
+def json_numbers(value, path=""):
+    """(key path, number) for each number NUMBER finds in the text of a parsed
+    JSON value, in document order: numbers inside keys and strings included,
+    counters and non-finite floats (written as NaN, Infinity) left out."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            sub = f"{path}.{key}" if path else key
+            yield from ((sub, float(x)) for x in NUMBER.findall(key.encode()))
+            if not (key in COUNTERS and type(item) is int):
+                yield from json_numbers(item, sub)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from json_numbers(item, f"{path}[{i}]")
+    elif isinstance(value, str):
+        yield from ((path, float(x)) for x in NUMBER.findall(value.encode()))
+    elif type(value) in (int, float) and math.isfinite(value):
+        yield path, float(value)
+
+
+def locate(text, k):
+    """Where the k-th number of an output, counters left out, is: its key path
+    when the output is a JSON object or array, else line:column."""
+    counted = {m.start(3) for m in COUNTER.finditer(text)}
+    starts = [m.start() for m in NUMBER.finditer(text) if m.start() not in counted]
+    try:
+        value = json.loads(text)
+    except ValueError:
+        value = None
+    if isinstance(value, (dict, list)):
+        found = list(json_numbers(value))
+        if len(found) == len(starts):
+            return found[k][0]
+    line = text.count(b"\n", 0, starts[k]) + 1
+    column = starts[k] - text.rfind(b"\n", 0, starts[k])
+    return f"{line}:{column}"
 
 
 def relative_difference(old, new):
-    """Largest |a - b| / max(|a|, |b|) over corresponding numbers of two outputs,
-    leaving out numbers at roundoff of zero and the counters, with a
-    "name old -> new" line for each counter that moved; None when they differ
-    in anything but numbers."""
+    """Largest |a - b| / max(|a|, |b|) over corresponding numbers of two outputs
+    and where it is, leaving out numbers at roundoff of zero and the counters,
+    with a "name old -> new" line for each counter that moved; None when they
+    differ in anything but numbers."""
     if not isinstance(old, bytes) or not isinstance(new, bytes):
         return None
     counts = [COUNTER.findall(text) for text in (old, new)]
-    old, new = (COUNTER.sub(rb"\1\2#", text) for text in (old, new))
-    if NUMBER.split(old) != NUMBER.split(new):
+    bare = [COUNTER.sub(rb"\1\2#", text) for text in (old, new)]
+    if NUMBER.split(bare[0]) != NUMBER.split(bare[1]):
         return None
     moved = [f"{a[0].decode()} {int(a[2])} -> {int(b[2])}"
              for a, b in zip(*counts) if a[2] != b[2]]
-    a = np.array([float(x) for x in NUMBER.findall(old)])
-    b = np.array([float(x) for x in NUMBER.findall(new)])
+    a, b = (np.array([float(x) for x in NUMBER.findall(text)]) for text in bare)
     big = np.maximum(np.abs(a), np.abs(b))
     keep = big > 1e-12 * big.max(initial=0.0)
-    return float(np.max(np.abs(a - b)[keep] / big[keep], initial=0.0)), moved
+    rel = np.divide(np.abs(a - b), big, out=np.zeros_like(big), where=keep)
+    if not rel.any():
+        return 0.0, None, moved
+    k = int(np.argmax(rel))
+    return float(rel[k]), locate(new, k), moved
 
 
 def differences(old, new):
-    """(name, (largest relative difference, moved counters) or None) for each
-    output that differs."""
+    """(name, (largest relative difference, where, moved counters) or None)
+    for each output that differs."""
     diffs = [(key, relative_difference(old[key], new[key]))
              for key in ("exit code", "stdout", "stderr") if old[key] != new[key]]
     for name in sorted(set(old["files"]) | set(new["files"])):
@@ -199,11 +242,12 @@ def main(argv=None):
                 if diff is None:
                     parts.append(f"{name} (not only numbers)")
                     continue
-                rel, moved = diff
-                shown_rel = [f"numbers, max rel {rel:.1e}"] if rel > 0 or not moved else []
+                rel, where, moved = diff
+                at = f" at {where}" if where else ""
+                shown_rel = [f"numbers, max rel {rel:.1e}{at}"] if rel > 0 or not moved else []
                 parts.append(f"{name} (" + "; ".join(shown_rel + moved) + ")")
                 if rel > 0 and (worst[1] is None or rel > worst[0]):
-                    worst = (rel, f"{shown}: {name}")
+                    worst = (rel, f"{shown}: {name}{at}")
             verdict = "differs: " + ", ".join(parts) if diffs else "identical"
             print(f"{shown}: exit {new['exit code']}, {len(new['files'])} files, {verdict}")
     print("all identical" if same else "outputs differ")
