@@ -400,10 +400,12 @@ def run_moons(
             "plan_mass": sol.pi.mass,
             "converged": sol.converged,
             "inner_capped": sol.diagnostics["inner_capped"],
+            "stop_reason": sol.diagnostics["stop_reason"],
+            "damped_from": sol.diagnostics["damped_from"],
         }
 
     fields = ["seed", "rho", "outlier_mass", "per_point_share", "mass_over_share",
-              "plan_mass", "converged", "inner_capped", "error"]
+              "plan_mass", "converged", "inner_capped", "stop_reason", "damped_from", "error"]
     rows, ok = _sweep(fields, cases(), solve)
     config = {"seeds": seeds, "n": n, "n_outliers": n_outliers,
               "rhos": list(rhos), "eps": eps, "tol_pot": tol_pot, "max_outer": max_outer}

@@ -219,7 +219,7 @@ def _run_quadratic(out_dir, name, X, Y, cfg, init, debias):
                "mass_pi": sol.pi.mass, "iterations": sol.outer_iterations,
                "converged": sol.converged,
                **{key: sol.diagnostics[key] for key in ("sweeps", "newton_steps", "stop_reason",
-                                                          "symmetric")},
+                                                          "damped_from", "symmetric")},
                "tightness": sol.diagnostics["tightness"]}
     if debias:
         deb = debiased_ugw(X, Y, cfg, cross=sol)

@@ -349,9 +349,10 @@ def test_criterion_11_outlier_mass_regime(criterion, tmp_path):
             assert low["rho"] == 0.01
             worst_share = max(worst_share, low["mass_over_share"])
         share_ok = worst_share <= 0.1
-    ok = clean and share_ok and inversions <= 1 and dt < 120.0
     n_converged = sum(1 for row in rows if row["converged"])
     capped = sum(row["inner_capped"] for row in rows if row["error"] == "")
+    ok = (clean and share_ok and inversions <= 1 and n_converged >= 78 and capped == 0
+          and dt < 120.0)
     criterion(
         11,
         ok,

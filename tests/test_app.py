@@ -209,6 +209,10 @@ class TestRunMoons:
         assert row["rho"] == 1.0
         assert 0 <= row["outlier_mass"] <= row["plan_mass"]
         assert row["per_point_share"] > 0
+        assert row["stop_reason"] == "tol_plan" and row["damped_from"] is None
+        with open(tmp_path / "moons.csv") as fh:
+            header = fh.readline().strip().split(",")
+        assert header[-3:] == ["stop_reason", "damped_from", "error"]
         with open(tmp_path / "moons_manifest.json") as fh:
             manifest = json.load(fh)
         assert manifest["config"]["max_outer"] == 50

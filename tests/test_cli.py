@@ -154,6 +154,9 @@ class TestQuadratic:
             with open(out / "ugw_summary.json") as fh:
                 summary = json.load(fh)
             assert summary["stop_reason"] == "tol_plan"
+            assert summary["damped_from"] is None
+            keys = list(summary)
+            assert keys.index("damped_from") == keys.index("stop_reason") + 1
             assert summary["sweeps"] >= summary["iterations"]
             # the symmetric path of a self-comparison takes no Newton step
             assert (summary["newton_steps"] > 0) is (name == "cross")

@@ -271,11 +271,19 @@ class TestFusedKernel:
         assert np.max(np.abs(res.plan.values - exact)) <= plain_err + tol
 
     def test_moons_cloud_10_low_rho_has_no_overflow(self, tmp_path):
-        # criterion 11's n=16 setting at rho = 0.01: the plan stays finite and
-        # its outlier mass far below 1e-100
-        out = run_moons(out_dir=str(tmp_path), seeds=[10], n=16, rhos=(0.01,), max_outer=200)
-        assert out["rows"][0]["error"] == ""
-        assert out["rows"][0]["outlier_mass"] < 1e-100
+        # criterion 11's n=16 setting at rho = 0.01: the plan stays finite, and
+        # the damped outer loop settles its 2-cycle (whose two plans differ by
+        # e^602 on the outlier rows) at one fixed point, whatever max_outer is;
+        # that point's outlier mass is 8.3e-96
+        masses = []
+        for max_outer in (199, 200, 201):
+            out = run_moons(out_dir=str(tmp_path), seeds=[10], n=16, rhos=(0.01,),
+                            max_outer=max_outer)
+            row = out["rows"][0]
+            assert row["error"] == ""
+            assert row["converged"] and row["damped_from"] is not None
+            masses.append(row["outlier_mass"])
+        assert masses[0] == masses[1] == masses[2] < 1e-90
 
 
 def _oracle_fixed_point(cost, mu, nu, rho1, rho2, eps):

@@ -5,7 +5,7 @@ import pytest
 
 from ugwkit import ugw
 from ugwkit.flb import solve_flb
-from ugwkit.geometry import space_from_points
+from ugwkit.geometry import gen_shape, space_from_points
 from ugwkit.measures import MmSpace, TransportPlan, quad_kl
 from ugwkit.sinkhorn import uot_sinkhorn
 from ugwkit.ugw import (
@@ -315,6 +315,7 @@ class TestSolveUgw:
         X, Y = self.make_pair(7)
         done = solve_ugw(X, Y, UgwConfig(eps=1e-2, rho1=1.0, tol_pot=1e-11))
         assert done.converged and done.diagnostics["stop_reason"] == "tol_plan"
+        assert done.diagnostics["damped_from"] is None
         short = solve_ugw(X, Y, UgwConfig(eps=1e-2, rho1=1.0, tol_pot=1e-11, max_outer=2))
         assert not short.converged and short.diagnostics["stop_reason"] == "max_outer"
         # distances of 100s at rho = 1e-3: the first inner plan has mass 0
@@ -333,6 +334,50 @@ class TestSolveUgw:
         assert d == sol.diagnostics["tightness"]
         assert d == tightness_diagnostics(X, Y, sol.pi.values, sol.gamma.values, cfg)
         assert d["plan_gap"] >= 0.0
+
+
+def _criterion_12_instance(k, rho):
+    rng = np.random.default_rng([55, k])
+    n, m = (int(v) for v in rng.integers(4, 9, size=2))
+    X, Y = random_space(rng, n), random_space(rng, m)
+    cfg = UgwConfig(eps=1e-2, rho1=rho, rho2=rho, tol_pot=1e-9, max_inner=1000, max_outer=50)
+    return X, Y, cfg
+
+
+class TestTwoCycle:
+    """A detected outer 2-cycle is damped to a fixed point of the plain map."""
+
+    @pytest.mark.parametrize("k, rho, outer", [(1, math.inf, 9), (10, 1e6, 8)])
+    def test_converging_solves_are_not_damped(self, k, rho, outer, monkeypatch):
+        # criterion 12's instances that converge by step 9 with gaps near 3e-5:
+        # gap(k, k-2) < tol_plan <= gap(k, k-1) holds on the way, so only the
+        # CYCLE_GAP guard keeps them on the plain path
+        X, Y, cfg = _criterion_12_instance(k, rho)
+        sol = solve_ugw(X, Y, cfg)
+        assert sol.converged and sol.diagnostics["damped_from"] is None
+        assert sol.outer_iterations == outer
+        monkeypatch.setattr(ugw, "CYCLE_GAP", 0.0)
+        assert solve_ugw(X, Y, cfg).diagnostics["damped_from"] is not None
+
+    def test_damped_solve_beats_both_plans_of_the_cycle(self, monkeypatch):
+        # criterion 11's cloud 1 at rho = 0.01, whose plain outer loop sits in
+        # a 2-cycle from about step 10 on
+        cloud = gen_shape("two_moons_outliers", 16, 1, n_outliers=3)
+        clean = gen_shape("two_moons_outliers", 16, 10_001, n_outliers=0)
+        X, Y = space_from_points(cloud), space_from_points(clean)
+        cfg = UgwConfig(eps=1e-2, rho1=0.01, tol_pot=1e-11, max_outer=200)
+        damped = solve_ugw(X, Y, cfg)
+        assert damped.converged and damped.diagnostics["stop_reason"] == "tol_plan"
+        assert 1 < damped.diagnostics["damped_from"] < damped.outer_iterations
+        monkeypatch.setattr(ugw, "CYCLE_GAP", math.inf)
+        cycle = solve_ugw(X, Y, cfg)
+        assert not cycle.converged and cycle.diagnostics["damped_from"] is None
+        tight = cycle.diagnostics["tightness"]
+        assert damped.cost_primal < min(tight["F_pi_pi"], tight["F_gamma_gamma"])
+        # the damped stop is a fixed point of the plain map: started there, the
+        # plain outer loop passes its plan test at once
+        again = solve_ugw(X, Y, cfg, init_plan=damped.pi)
+        assert again.converged and again.outer_iterations == 1
 
 
 class TestSelfComparison:

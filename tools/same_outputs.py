@@ -6,7 +6,8 @@ OLD_SRC and NEW_SRC are directories holding the ``ugwkit`` package (the
 ``src`` directory of a checkout). Every subcommand runs at a small setting,
 once per tree, each run in a fresh interpreter with that tree alone on
 PYTHONPATH and its own empty working directory: the six experiment drivers
-in CSV and in JSON; the five drivers that sweep trials again at eps = 1e-300,
+in CSV and in JSON, with the moons driver a second time on two clouds whose
+rho = 0.01 solves take the damped path of a 2-cycle; the five drivers that sweep trials again at eps = 1e-300,
 where some or all trials raise (the plan overflows) and are recorded as
 error rows; then the solver commands on small spaces written here with
 numpy. For each run the exit code, stdout, stderr and every file written are
@@ -41,6 +42,9 @@ DRIVERS = [
      "--restarts", "2"],
     ["moons", "--n", "8", "--n-outliers", "2", "--rhos", "1,0.1", "--seeds", "0,1",
      "--max-outer", "30"],
+    # two solves whose undamped outer loop runs into a 2-cycle
+    ["moons", "--n", "16", "--n-outliers", "3", "--rhos", "0.01", "--seeds", "1,2",
+     "--max-outer", "200"],
     ["graph-match", "--n", "8", "--n-outliers", "2", "--eps-grid", "0.1",
      "--rho-grid", "1,inf", "--max-outer", "30"],
     ["scale-bias", "--n", "4", "--kappas", "0.5,2"],
