@@ -29,7 +29,7 @@ def random_space(rng, n):
 def main():
     rho = 0.1
     spec = ConeMetricSpec("gh", rho)
-    cfg = UgwConfig(eps=1e-3, rho1=rho, rho2=rho, tol_pot=1e-11)
+    cfg = UgwConfig(eps=1e-3, rho1=rho, rho2=rho)
 
     print(f"{'inst':>4} {'ugw primal':>12} {'lift energy':>12} {'grid cost':>12} {'grid/ugw':>9}")
     for k in range(4):

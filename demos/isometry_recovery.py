@@ -25,7 +25,7 @@ def main():
     X = space_from_points(pts, label="original")
     Y = space_from_points(moved, label="moved copy")
 
-    cfg = UgwConfig(eps=1e-2, rho1=1.0, rho2=1.0, tol_pot=1e-10)
+    cfg = UgwConfig(eps=1e-2, rho1=1.0, rho2=1.0)
     sol = solve_ugw(X, Y, cfg)
 
     dist = distortion_cost(X.dist, Y.dist, sol.pi.values)

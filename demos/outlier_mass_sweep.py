@@ -27,7 +27,7 @@ def main():
     print(f"{'rho':>8} {'plan mass':>10} {'outlier mass':>13} {'fraction':>10}")
 
     for rho in (10.0, 1.0, 0.1, 0.01):
-        cfg = UgwConfig(eps=1e-2, rho1=rho, rho2=rho, tol_pot=1e-11, max_outer=200)
+        cfg = UgwConfig(eps=1e-2, rho1=rho, rho2=rho, max_outer=200)
         sol = solve_ugw(X, Y, cfg)
         mass = sol.pi.mass
         out_mass = float(sol.pi.row_marginal[out_rows].sum())

@@ -210,17 +210,14 @@ def _floored_ratio(num, denom):
     return num / max(denom, RATIO_FLOOR)
 
 
-def cgw_ugw_ratio(X, Y, rho, eps=1e-2, K=10, L=10, restarts=20, seed=0, tol_pot=1e-11,
-                  cfg=None, spec=None):
+def cgw_ugw_ratio(X, Y, rho, eps=1e-2, K=10, L=10, restarts=20, seed=0, cfg=None, spec=None):
     """CGW cost over the eps-free UGW primal, with the 0/0 guard at 1.
 
     Both solvers see the same rho. When numerator and denominator both sit
     below the floor the spaces are matched exactly and the ratio is 1 by
-    convention. The default config is built from eps and tol_pot, whose
-    default is tight so the outer loop can certify its plan tolerance at
-    small eps; the default spec is the GH cone at the same rho.
+    convention. By default cfg is built from eps and spec is the GH cone.
     """
-    cfg = cfg or UgwConfig(eps=eps, rho1=rho, rho2=rho, tol_pot=tol_pot)
+    cfg = cfg or UgwConfig(eps=eps, rho1=rho, rho2=rho)
     spec = spec or ConeMetricSpec("gh", rho=rho)
     check_grid(K, L, restarts)
     sol = solve_ugw(X, Y, cfg)
@@ -232,13 +229,20 @@ def cgw_ugw_ratio(X, Y, rho, eps=1e-2, K=10, L=10, restarts=20, seed=0, tol_pot=
 # Drivers
 
 
+def _ending(sol):
+    """The row columns that say how a solve_ugw run ended."""
+    return {"converged": sol.converged, "stop_reason": sol.diagnostics["stop_reason"],
+            "damped_from": sol.diagnostics["damped_from"]}
+
+
 def _sweep(fields, cases, solve):
     """Run solve(*args) for each (key, *args) of ``cases``; returns (rows, ok).
 
     key holds the case's key columns and solve returns the rest of its row,
-    "converged" included. A case that raises is recorded as a row of blanks
-    with converged=False and the error, and the sweep goes on. ok is True
-    when every case converged.
+    "converged" included; each row holds its columns in the order of
+    ``fields``. A case that raises is recorded as a row of blanks with
+    converged=False and the error, and the sweep goes on. ok is True when
+    every case converged.
     """
     rows = []
     ok = True
@@ -246,8 +250,8 @@ def _sweep(fields, cases, solve):
         try:
             row = {**key, **solve(*args), "error": ""}
         except Exception as exc:  # recorded, driver keeps going
-            row = {**dict.fromkeys(fields, ""), **key, "converged": False, "error": str(exc)}
-        rows.append(row)
+            row = {**key, "converged": False, "error": str(exc)}
+        rows.append({name: row.get(name, "") for name in fields})
         ok = ok and row["converged"]
     return rows, ok
 
@@ -285,7 +289,7 @@ def run_perturb(
     base = rng.normal(size=(n, 2))
     delta = rng.normal(size=(n, 2))
     X = geometry.space_from_points(base, label="x")
-    cfg = UgwConfig(eps=eps, rho1=rho, rho2=rho, tol_pot=1e-11)
+    cfg = UgwConfig(eps=eps, rho1=rho, rho2=rho)
     spec = ConeMetricSpec("gh", rho=rho)
     check_grid(grid_k, grid_l, restarts)
 
@@ -317,7 +321,7 @@ def run_ratio_hist(
     fmt="csv",
 ):
     """Histogram of grid-to-quadratic cost ratios over random pairs."""
-    cfg = UgwConfig(eps=eps, rho1=rho, rho2=rho, tol_pot=1e-11)
+    cfg = UgwConfig(eps=eps, rho1=rho, rho2=rho)
     spec = ConeMetricSpec("gh", rho=rho)
     check_grid(grid_k, grid_l, restarts)
     ratios = {n: [] for n in ns}
@@ -365,7 +369,7 @@ def run_moons(
     n_outliers=3,
     rhos=(10.0, 1.0, 0.1, 0.01),
     eps=1e-2,
-    tol_pot=1e-11,
+    tol_pot=UgwConfig.tol_pot,
     max_outer=3000,
     fmt="csv",
 ):
@@ -398,10 +402,8 @@ def run_moons(
             "per_point_share": share,
             "mass_over_share": mass / share if share > 0 else math.inf,
             "plan_mass": sol.pi.mass,
-            "converged": sol.converged,
             "inner_capped": sol.diagnostics["inner_capped"],
-            "stop_reason": sol.diagnostics["stop_reason"],
-            "damped_from": sol.diagnostics["damped_from"],
+            **_ending(sol),
         }
 
     fields = ["seed", "rho", "outlier_mass", "per_point_share", "mass_over_share",
@@ -420,14 +422,12 @@ def run_graph_match(
     n_outliers=2,
     eps_grid=(1e-2, 1e-1),
     rho_grid=(0.1, 1.0, math.inf),
-    tol_pot=1e-11,
     max_outer=3000,
     fmt="csv",
 ):
     """Plans between a community graph with outliers and a clean one, across
     the regularization grid (rho = inf runs the balanced mode)."""
-    cfgs = {(eps, rho): UgwConfig(eps=eps, rho1=rho, rho2=rho, tol_pot=tol_pot,
-                                  max_outer=max_outer)
+    cfgs = {(eps, rho): UgwConfig(eps=eps, rho1=rho, rho2=rho, max_outer=max_outer)
             for eps in eps_grid for rho in rho_grid}
     g = geometry.gen_shape("community_graph", n, seed, n_outliers=n_outliers)
     g_clean = geometry.gen_shape("community_graph", n, seed + 10_000, n_outliers=0)
@@ -442,17 +442,15 @@ def run_graph_match(
         plan_file = f"graph_match_plan_eps{eps:g}_rho{rho:g}.csv"
         save_plan(sol.pi, os.path.join(out_dir, plan_file))
         return {"cost_biconvex": sol.cost_biconvex, "plan_mass": sol.pi.mass,
-                "iterations": sol.outer_iterations, "converged": sol.converged,
-                "plan_file": plan_file}
+                "iterations": sol.outer_iterations, **_ending(sol), "plan_file": plan_file}
 
     fields = ["eps", "rho", "cost_biconvex", "plan_mass", "iterations", "converged",
-              "plan_file", "error"]
+              "stop_reason", "damped_from", "plan_file", "error"]
     cases = (({"eps": eps, "rho": rho_label(rho)}, eps, rho)
              for eps in eps_grid for rho in rho_grid)
     rows, ok = _sweep(fields, cases, solve)
     config = {"n": n, "n_outliers": n_outliers, "eps_grid": list(eps_grid),
-              "rho_grid": [rho_label(r) for r in rho_grid],
-              "tol_pot": tol_pot, "max_outer": max_outer}
+              "rho_grid": [rho_label(r) for r in rho_grid], "max_outer": max_outer}
     plans = [os.path.join(out_dir, row["plan_file"]) for row in rows if row["plan_file"]]
     return _publish("graph_match", out_dir, seed, fmt, config,
                     [("graph_match", rows, fields)], plans, rows=rows, converged=ok)
@@ -503,7 +501,6 @@ def run_pu(
     n_unlabeled_neg=15,
     eps=2.0**-9,
     rho_grid=tuple(2.0**-k for k in range(5, 11)),
-    tol_pot=1e-11,
     max_outer=3000,
     fmt="csv",
 ):
@@ -518,8 +515,7 @@ def run_pu(
         raise ValueError("the unlabeled pool needs at least one point")
     r = n_unlabeled_pos / (n_unlabeled_pos + n_unlabeled_neg)
     truth = np.concatenate([np.ones(n_unlabeled_pos, int), -np.ones(n_unlabeled_neg, int)])
-    cfgs = {rho: UgwConfig(eps=eps, rho1=rho, rho2=rho, tol_pot=tol_pot, max_outer=max_outer)
-            for rho in rho_grid}
+    cfgs = {rho: UgwConfig(eps=eps, rho1=rho, rho2=rho, max_outer=max_outer) for rho in rho_grid}
 
     def cases():
         for fold in range(folds):
@@ -535,12 +531,12 @@ def run_pu(
     def solve(X, Y, rho):
         sol = solve_ugw(X, Y, cfgs[rho])
         labels = pu_predict(sol.pi, r)
-        return {"accuracy": float(np.mean(labels == truth)), "converged": sol.converged}
+        return {"accuracy": float(np.mean(labels == truth)), **_ending(sol)}
 
-    fields = ["fold", "rho", "accuracy", "converged", "error"]
+    fields = ["fold", "rho", "accuracy", "converged", "stop_reason", "damped_from", "error"]
     rows, ok = _sweep(fields, cases(), solve)
     config = {"folds": folds, "n_pos": n_pos, "n_unlabeled_pos": n_unlabeled_pos,
               "n_unlabeled_neg": n_unlabeled_neg, "eps": eps, "rho_grid": list(rho_grid),
-              "tol_pot": tol_pot, "max_outer": max_outer, "positive_ratio": r}
+              "max_outer": max_outer, "positive_ratio": r}
     return _publish("pu", out_dir, seed, fmt, config, [("pu", rows, fields)],
                     rows=rows, converged=ok)

@@ -277,13 +277,13 @@ def cmd_flb(out_dir, seed, fmt, x, y, x_weights=None, y_weights=None, rho=1.0,
     return res.converged
 
 
-@_passes_on(app.cgw_ugw_ratio, "eps", "tol_pot")
+@_passes_on(app.cgw_ugw_ratio, "eps")
 def cmd_cgw(out_dir, seed, fmt, x, y, x_weights=None, y_weights=None, rho=1.0, grid_k=10,
             grid_l=10, restarts=20, with_ugw=False, **ugw):
     """Conic grid matching.
 
-    with-ugw also solves the quadratic problem (at eps and tol-pot) and
-    reports the ratio.
+    with-ugw also solves the quadratic problem (at eps) and reports the
+    ratio.
     """
     X, Y = _load_pair(x, y, x_weights, y_weights)
     grid = dict(K=grid_k, L=grid_l, restarts=restarts, seed=seed)

@@ -224,10 +224,10 @@ def solve_ugw(X, Y, cfg, init_plan=None):
 
     The inner tolerance bounds the potential step, not the distance to the
     inner fixed point, so the log-plan gap the outer test sees has a noise
-    floor of roughly tol_pot * (rho + eps) / (eps^2 m). The default
-    tol_pot = 1e-9 keeps that floor under the default tol_plan for eps down
-    to about 1e-2; with much smaller eps, tighten tol_pot (1e-11) when a
-    certified tol_plan matters.
+    floor of roughly tol (rho + eps) / (eps^2 m) at plan mass m, rho =
+    max(rho1, rho2). So each inner call stops at the tol that puts this floor
+    at tol_plan, tol_plan eps^2 m / (rho + eps) (tol_plan eps m when rho is
+    inf), capped at tol_pot: m can span many orders of magnitude in one solve.
 
     A self-comparison, where Y is X or has equal distances and weights,
     rho1 == rho2 and the start plan equals its transpose (the default start
@@ -273,6 +273,9 @@ def solve_ugw(X, Y, cfg, init_plan=None):
                  and np.array_equal(gamma, gamma.T))
     f = np.zeros(X.n)
     g = np.zeros(Y.n)
+    # each inner call stops at min(tol_pot, stop_per_mass m(pi)): the noise floor above
+    rho = max(cfg.rho1, cfg.rho2)
+    stop_per_mass = cfg.tol_plan * cfg.eps * (1.0 if math.isinf(rho) else cfg.eps / (rho + cfg.eps))
 
     converged = False
     inner_capped = 0
@@ -304,7 +307,7 @@ def solve_ugw(X, Y, cfg, init_plan=None):
             cfg.rho2 * m_pi,
             eps=cfg.eps * m_pi,
             init=Potentials(f, g),
-            tol_pot=cfg.tol_pot,
+            tol_pot=min(cfg.tol_pot, stop_per_mass * m_pi),
             max_inner=cfg.max_inner,
         )
         inner_capped += not res.converged

@@ -263,7 +263,16 @@ class TestRunPu:
         rows = out["rows"]
         assert len(rows) == 1
         assert rows[0]["error"] == ""
+        assert rows[0]["converged"] and rows[0]["stop_reason"] == "tol_plan"
         assert 0.0 <= rows[0]["accuracy"] <= 1.0
         with open(tmp_path / "pu_manifest.json") as fh:
             manifest = json.load(fh)
         assert manifest["config"]["positive_ratio"] == pytest.approx(6 / 9)
+
+    def test_default_grid_converges(self, tmp_path):
+        # eps = 2^-9 and rho down to 2^-10: the first inner plans are tiny, and
+        # the inner stop follows the plan mass down so the outer test can pass
+        out = run_pu(out_dir=str(tmp_path), seed=0, folds=1)
+        assert len(out["rows"]) == 6
+        assert out["converged"]
+        assert all(row["stop_reason"] == "tol_plan" for row in out["rows"])

@@ -13,6 +13,7 @@ import pytest
 from ugwkit.app import save_space
 from ugwkit.cli import main
 from ugwkit.measures import MmSpace
+from ugwkit.ugw import UgwConfig
 
 from conftest import random_space
 
@@ -297,7 +298,9 @@ class TestDrivers:
         with open(tmp_path / "graph_match_manifest.json") as fh:
             manifest = json.load(fh)
         assert manifest["config"]["max_outer"] == 5
-        assert (tmp_path / "graph_match.csv").exists()
+        with open(tmp_path / "graph_match.csv") as fh:
+            header = fh.readline().strip().split(",")
+        assert header[-5:] == ["converged", "stop_reason", "damped_from", "plan_file", "error"]
         assert any(f.startswith("graph_match_plan_") for f in manifest["files"])
 
     def test_pu_accepts_max_outer(self, tmp_path):
@@ -458,7 +461,6 @@ _DRIVER_FLAGS = {
     "graph-match": ("run_graph_match", [
         ("n", "9", 9), ("n-outliers", "2", 2), ("eps-grid", "1,0.5", [1.0, 0.5]),
         ("rho-grid", "0.5,inf", [0.5, math.inf]), ("max-outer", "7", 7),
-        ("tol-pot", "1e-8", 1e-8),
     ]),
     "scale-bias": ("run_scale_bias", [
         ("n", "4", 4), ("rho", "1", 1.0), ("kappas", "0.5,2", [0.5, 2.0]),
@@ -467,7 +469,7 @@ _DRIVER_FLAGS = {
     "pu": ("run_pu", [
         ("folds", "2", 2), ("n-pos", "5", 5), ("n-unlabeled-pos", "6", 6),
         ("n-unlabeled-neg", "3", 3), ("eps", "1", 1.0), ("rho-grid", "0.5,inf", [0.5, math.inf]),
-        ("max-outer", "7", 7), ("tol-pot", "1e-8", 1e-8),
+        ("max-outer", "7", 7),
     ]),
 }
 
@@ -589,7 +591,7 @@ _SOLVER_FLAGS = {
     ],
     "cgw": [
         ("rho", "2", 2.0), ("grid-k", "3", 3), ("grid-l", "4", 4), ("restarts", "2", 2),
-        ("with-ugw", None, True), ("eps", "1", 1.0), ("tol-pot", "1e-8", 1e-8),
+        ("with-ugw", None, True), ("eps", "1", 1.0),
     ],
     "scale": [("rho", "2", 2.0), ("kappas", "0.5,2", [0.5, 2.0])],
 }
@@ -715,7 +717,7 @@ def _observed(command, calls, arrays):
         if seen["with-ugw"]:
             cfg = calls["solve_ugw"]["cfg"]
             assert cfg.rho1 == cfg.rho2 == seen["rho"]
-            seen.update({"eps": cfg.eps, "tol-pot": cfg.tol_pot})
+            seen["eps"] = cfg.eps
         return seen
     a = calls["scaling_bias_report"]
     return {"rho": a["rho"], "kappas": a["kappa_grid"]}
@@ -770,7 +772,8 @@ class TestSolverFlags:
             argv += [f"--{flag}", path]
         assert main(argv) in (0, 1)
         seen = _observed("cgw", captured_solvers, arrays)
-        assert (seen["eps"], seen["tol-pot"]) == (1e-2, 1e-11)
+        assert seen["eps"] == 1e-2
+        assert captured_solvers["solve_ugw"]["cfg"].tol_pot == UgwConfig.tol_pot
 
     @pytest.mark.parametrize("command", ["uot", "ugw", "flb"])
     def test_unset_rho2_equals_rho(self, command, captured_solvers, tmp_path):

@@ -347,17 +347,25 @@ def _criterion_12_instance(k, rho):
 class TestTwoCycle:
     """A detected outer 2-cycle is damped to a fixed point of the plain map."""
 
-    @pytest.mark.parametrize("k, rho, outer", [(1, math.inf, 9), (10, 1e6, 8)])
+    @pytest.mark.parametrize("k, rho, outer", [(1, math.inf, 9)])
     def test_converging_solves_are_not_damped(self, k, rho, outer, monkeypatch):
-        # criterion 12's instances that converge by step 9 with gaps near 3e-5:
-        # gap(k, k-2) < tol_plan <= gap(k, k-1) holds on the way, so only the
-        # CYCLE_GAP guard keeps them on the plain path
+        # criterion 12's balanced instance 1 converges at step 9 with gaps near
+        # 3e-5: gap(k, k-2) < tol_plan <= gap(k, k-1) holds on the way, so only
+        # the CYCLE_GAP guard keeps it on the plain path
         X, Y, cfg = _criterion_12_instance(k, rho)
         sol = solve_ugw(X, Y, cfg)
         assert sol.converged and sol.diagnostics["damped_from"] is None
         assert sol.outer_iterations == outer
         monkeypatch.setattr(ugw, "CYCLE_GAP", 0.0)
         assert solve_ugw(X, Y, cfg).diagnostics["damped_from"] is not None
+
+    def test_large_rho_solve_stops_on_its_plan_test(self):
+        # criterion 12's instance 10 at rho = 1e6: the inner stop derived from
+        # tol_plan leaves no noise floor for the outer test to wait out
+        X, Y, cfg = _criterion_12_instance(10, 1e6)
+        sol = solve_ugw(X, Y, cfg)
+        assert sol.converged and sol.diagnostics["damped_from"] is None
+        assert sol.outer_iterations == 5
 
     def test_damped_solve_beats_both_plans_of_the_cycle(self, monkeypatch):
         # criterion 11's cloud 1 at rho = 0.01, whose plain outer loop sits in

@@ -7,10 +7,13 @@ OLD_SRC and NEW_SRC are directories holding the ``ugwkit`` package (the
 once per tree, each run in a fresh interpreter with that tree alone on
 PYTHONPATH and its own empty working directory: the six experiment drivers
 in CSV and in JSON, with the moons driver a second time on two clouds whose
-rho = 0.01 solves take the damped path of a 2-cycle; the five drivers that sweep trials again at eps = 1e-300,
-where some or all trials raise (the plan overflows) and are recorded as
-error rows; then the solver commands on small spaces written here with
-numpy. For each run the exit code, stdout, stderr and every file written are
+rho = 0.01 solves take the damped path of a 2-cycle, and the pu driver a
+second time at its own eps = 2^-9 and rho = 2^-6, where the first inner plan
+is tiny and the outer test needs an inner stop scaled to the plan mass (a
+tree without one exits 1 there); the five drivers that sweep trials again at
+eps = 1e-300, where some or all trials raise (the plan overflows) and are
+recorded as error rows; then the solver commands on small spaces written
+here with numpy. For each run the exit code, stdout, stderr and every file written are
 compared byte for byte, once the tree's own path (a warning names it) is
 replaced by <src> in stdout and stderr. One line is printed per run; the exit
 code is 1 if anything differs. Where two outputs differ only in their
@@ -50,6 +53,9 @@ DRIVERS = [
     ["scale-bias", "--n", "4", "--kappas", "0.5,2"],
     ["pu", "--folds", "1", "--n-pos", "5", "--n-unlabeled-pos", "5", "--n-unlabeled-neg", "3",
      "--rho-grid", "0.05,0.5", "--max-outer", "30"],
+    # a solve whose plan mass falls to 1e-17 at its first step
+    ["pu", "--folds", "1", "--n-pos", "6", "--n-unlabeled-pos", "6", "--n-unlabeled-neg", "3",
+     "--rho-grid", "0.015625", "--max-outer", "300"],
 ]
 
 # the same drivers with some or all trials raising inside the sweep
