@@ -414,7 +414,10 @@ def solve_cgw(X, Y, spec=None, K=10, L=10, restarts=20, seed=0, max_rounds=200, 
     random product-form plans, half permutation lifts. Each restart freezes
     the plan, prices the LP cells by its local cost, and re-solves the moment-
     constrained LP (warm-started, since the constraints never change) until
-    the energy decrease falls below tol*(1+|cost|) or max_rounds.
+    the energy decrease falls below tol*(1+|cost|) or max_rounds. Each round
+    starts from the basis the last round ended at; the first round of a
+    restart starts from the basis the last restart's first round ended at,
+    which is nearer its optimum than the one that restart finished at.
 
     Each restart_log entry holds the restart's init kind, rounds, final cost
     and cost trace, its LP pivots and seconds, and ``converged``: whether the
@@ -443,7 +446,7 @@ def solve_cgw(X, Y, spec=None, K=10, L=10, restarts=20, seed=0, max_rounds=200, 
     n_prod = (restarts + 1) // 2
     best_plan = None
     log = []
-    basis = None
+    first_basis = None  # the basis the last restart's first LP ended at
     for idx in range(restarts):
         kind = "product" if idx < n_prod else "permutation"
         plan = (_product_init if kind == "product" else _permutation_init)(rng, mu, nu, r, s)
@@ -455,12 +458,15 @@ def solve_cgw(X, Y, spec=None, K=10, L=10, restarts=20, seed=0, max_rounds=200, 
         trace = [cost]
         pivots = 0
         converged = False
-        for _ in range(max_rounds):
+        basis = first_basis
+        for rnd in range(max_rounds):
             sol = solve_lp(lp.with_cost(c), init_basis=basis)
             if sol.status != "optimal":
                 raise RuntimeError("grid LP terminated " + sol.status)
             pivots += sol.iterations
             basis = sol.basis
+            if rnd == 0:
+                first_basis = basis
             plan = sol.x
             nz = np.flatnonzero(plan)  # the basic cells: the moments and cost need no others
             c = _grid_cost(W, spec, plan[nz], nz // P, rk[nz % P], sl[nz % P], rk, sl).ravel()

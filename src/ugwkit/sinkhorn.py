@@ -80,6 +80,16 @@ call then leaves Newton mode and its next window estimates the rate afresh.
 The stop test and the count of sweeps are those above, the returned pair is
 a plain sweep's, and nothing warns (np.errstate).
 
+A warm start keeps the mode. A call that ends in Newton mode on a problem
+with no balanced side marks its potentials (Potentials.newton), and a call
+started from them, again with no balanced side, is in Newton mode from its
+first sweep: it skips the rate windows that would find it slow again. The
+outer loop of solve_ugw hands each call's potentials to the next, whose
+problem is close to the last one. A balanced side never carries the mode:
+in criterion 12's balanced solves a Newton step forced after the first sweep
+of every call stalls the outer loop near its fixed point (231 outer steps in
+place of 203).
+
 A symmetric problem (a square cost equal to its transpose, mu = nu and
 rho1 = rho2) has the same map T for f and g, and its fixed point has f = g.
 The alternating sweeps converge slowly there: near the fixed point T acts as
@@ -118,8 +128,14 @@ __all__ = ["Potentials", "SinkhornResult", "uot_sinkhorn"]
 
 @dataclass(frozen=True)
 class Potentials:
+    """A pair of potentials. ``newton`` says that the call that returned them
+    ended in Newton mode with no balanced side; a call warm-started from them
+    with no balanced side then starts in Newton mode (see the module
+    docstring). A balanced call ignores it."""
+
     f: np.ndarray
     g: np.ndarray
+    newton: bool = False
 
 
 @dataclass(frozen=True)
@@ -261,10 +277,13 @@ def _newton(k_row, log_mu, mu, nu, f, g, eps, rho1, rho2):
     return f, g, False
 
 
-def _alternating(k_row, k_col, log_mu, mu, nu, f, g, eps, rho1, rho2, tol_pot, max_inner):
-    """The plain f/g sweeps, with Newton steps on a slow call.
+def _alternating(k_row, k_col, log_mu, mu, nu, f, g, eps, rho1, rho2, tol_pot, max_inner,
+                 newton):
+    """The plain f/g sweeps, with Newton steps on a slow call; ``newton`` starts
+    the call in Newton mode.
 
-    Returns f, g, sweeps, Newton steps, converged, residual.
+    Returns f, g, sweeps, Newton steps, converged, residual, and whether the
+    call ended in Newton mode.
     """
     n, m = k_row.shape
     fact1 = _damping(rho1, eps)
@@ -275,7 +294,6 @@ def _alternating(k_row, k_col, log_mu, mu, nu, f, g, eps, rho1, rho2, tol_pot, m
     converged = False
     residual = math.inf
     window = []
-    newton = False
     steps = 0
     it = 0
     for it in range(1, max_inner + 1):
@@ -294,7 +312,7 @@ def _alternating(k_row, k_col, log_mu, mu, nu, f, g, eps, rho1, rho2, tol_pot, m
         if len(window) == WARMUP:
             newton = _rate(window) > NEWTON_RATE
             window = []
-    return f, g, it, steps, converged, residual
+    return f, g, it, steps, converged, residual, newton
 
 
 def _averaged(kernel, f, eps, rho, tol_pot, max_inner):
@@ -341,7 +359,9 @@ def uot_sinkhorn(
 ):
     """Run the f/g updates to a fixed point; returns a SinkhornResult.
 
-    rho2 defaults to rho1. ``init`` warm-starts the potentials (default 0).
+    rho2 defaults to rho1. ``init`` warm-starts the potentials (default 0),
+    and Newton mode with them where init.newton is set and no side is
+    balanced; the returned potentials set it in the same way.
     Stops when the fixed-point residual max|T(f) - f| drops to tol_pot (or to
     the float resolution of the potentials, if that is coarser) or the cap is
     hit (the result is then flagged, not an error); the sweeps before it may
@@ -385,6 +405,9 @@ def uot_sinkhorn(
         g = np.array(init.g, dtype=float, copy=True)
     symmetric = (n == m and rho1 == rho2 and np.array_equal(mu, nu)
                  and np.array_equal(cost, cost.T))
+    # Newton mode carries over between calls only with no balanced side
+    unbalanced = not (math.isinf(rho1) or math.isinf(rho2))
+    newton = False
     newton_steps = 0
     # a drift too large to square overflows to inf, which absorbs
     with np.errstate(over="ignore"):
@@ -394,8 +417,9 @@ def uot_sinkhorn(
         else:
             # row j of k_col is log mu - cost_.j/eps
             k_col = np.ascontiguousarray((log_mu[:, None] - cost / eps).T)
-            f, g, it, newton_steps, converged, residual = _alternating(
-                k_row, k_col, log_mu, mu, nu, f, g, eps, rho1, rho2, tol_pot, max_inner)
+            f, g, it, newton_steps, converged, residual, newton = _alternating(
+                k_row, k_col, log_mu, mu, nu, f, g, eps, rho1, rho2, tol_pot, max_inner,
+                unbalanced and init is not None and init.newton)
     if not np.all(np.isfinite(g)):
         raise FloatingPointError("non-finite potential: cost scale is too large for this eps")
 
@@ -404,7 +428,8 @@ def uot_sinkhorn(
         # g = T(f) is off f by up to the residual; averaging the plan with its
         # transpose makes it exactly symmetric, as the fixed point's plan is
         plan = TransportPlan(0.5 * (plan.values + plan.values.T))
-    return SinkhornResult(Potentials(f, g), plan, it, converged, residual, newton_steps)
+    return SinkhornResult(Potentials(f, g, unbalanced and newton), plan, it, converged, residual,
+                          newton_steps)
 
 
 def plan_from_potentials(f, g, cost, eps, mu, nu):

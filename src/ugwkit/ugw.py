@@ -228,6 +228,9 @@ def solve_ugw(X, Y, cfg, init_plan=None):
     max(rho1, rho2). So each inner call stops at the tol that puts this floor
     at tol_plan, tol_plan eps^2 m / (rho + eps) (tol_plan eps m when rho is
     inf), capped at tol_pot: m can span many orders of magnitude in one solve.
+    Each inner call is warm-started from the last call's potentials, and with
+    them from its Newton mode (see the sinkhorn module docstring), since
+    consecutive local costs differ little.
 
     A self-comparison, where Y is X or has equal distances and weights,
     rho1 == rho2 and the start plan equals its transpose (the default start
@@ -271,8 +274,7 @@ def solve_ugw(X, Y, cfg, init_plan=None):
     # symmetric, so each inner solve runs the single-potential iteration
     symmetric = (cfg.rho1 == cfg.rho2 and _same_space(X, Y)
                  and np.array_equal(gamma, gamma.T))
-    f = np.zeros(X.n)
-    g = np.zeros(Y.n)
+    init = Potentials(np.zeros(X.n), np.zeros(Y.n))
     # each inner call stops at min(tol_pot, stop_per_mass m(pi)): the noise floor above
     rho = max(cfg.rho1, cfg.rho2)
     stop_per_mass = cfg.tol_plan * cfg.eps * (1.0 if math.isinf(rho) else cfg.eps / (rho + cfg.eps))
@@ -306,14 +308,14 @@ def solve_ugw(X, Y, cfg, init_plan=None):
             cfg.rho1 * m_pi,
             cfg.rho2 * m_pi,
             eps=cfg.eps * m_pi,
-            init=Potentials(f, g),
+            init=init,
             tol_pot=min(cfg.tol_pot, stop_per_mass * m_pi),
             max_inner=cfg.max_inner,
         )
         inner_capped += not res.converged
         sweeps += res.iterations
         newton_steps += res.newton_steps
-        f, g = res.potentials.f, res.potentials.g
+        init = res.potentials
         raw = res.plan.values
         m_raw = float(raw.sum())
         if not (m_raw > 0 and np.isfinite(m_raw)):

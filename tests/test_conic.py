@@ -413,6 +413,17 @@ class TestSolveCgw:
         assert sum(entry["pivots"] for entry in res.restart_log) == sum(pivots)
         assert len(pivots) == sum(entry["rounds"] for entry in res.restart_log)
 
+    def test_restarts_start_from_the_last_first_round_basis(self):
+        # each restart's first LP starts where the previous restart's first LP
+        # ended; from the basis the previous restart finished at, this
+        # instance takes 314 pivots, with the same cost
+        rng = np.random.default_rng(20)
+        X = random_space(rng, 3, weights="mass")
+        Y = random_space(rng, 4, weights="mass")
+        res = solve_cgw(X, Y, spec=ConeMetricSpec("gh", rho=1.0), K=10, L=10, restarts=8)
+        assert res.cost == pytest.approx(1.7703998110289418, rel=1e-12, abs=0)
+        assert sum(entry["pivots"] for entry in res.restart_log) < 314
+
     @pytest.mark.parametrize("n,m", [
         (3, 6), (4, 4), (6, 3), (1, 5), (5, 1),
         # a weight of 0.3 is past 0.98 R^2 = 0.142, so the permutation init

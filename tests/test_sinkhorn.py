@@ -367,6 +367,52 @@ class TestNewtonMode:
         assert again.residual <= 1e-9
 
 
+class TestNewtonCarry:
+    """A warm start from a call that ended in Newton mode starts in it, unless
+    a side is balanced."""
+
+    @pytest.mark.parametrize("rho", [1.0, 10.0])
+    def test_carried_mode_saves_sweeps_and_keeps_the_fixed_point(self, rho):
+        cost, mu, nu, rho1, rho2, eps = _newton_case(rho, rho)
+        first = uot_sinkhorn(cost, mu, nu, rho1, rho2, eps=eps, tol_pot=1e-9, max_inner=50000)
+        assert first.newton_steps > 0 and first.potentials.newton is True
+        # the next call of an outer loop: a slightly moved cost
+        nearby = cost + 0.01 * np.random.default_rng(3).uniform(size=cost.shape)
+        f, g = first.potentials.f, first.potentials.g
+        carried = uot_sinkhorn(nearby, mu, nu, rho1, rho2, eps=eps, init=first.potentials,
+                               tol_pot=1e-9, max_inner=50000)
+        fresh = uot_sinkhorn(nearby, mu, nu, rho1, rho2, eps=eps, init=Potentials(f, g),
+                             tol_pot=1e-9, max_inner=50000)
+        assert carried.converged and fresh.converged
+        assert carried.iterations < fresh.iterations
+        np.testing.assert_allclose(carried.potentials.f, fresh.potentials.f, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(carried.potentials.g, fresh.potentials.g, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("rho1, rho2", [(math.inf, math.inf), (math.inf, 1.0)])
+    def test_balanced_result_does_not_carry_the_mode(self, rho1, rho2):
+        cost, mu, nu, rho1, rho2, eps = _newton_case(rho1, rho2)
+        res = uot_sinkhorn(cost, mu, nu, rho1, rho2, eps=eps, tol_pot=1e-9, max_inner=50000)
+        assert res.newton_steps > 0 and res.potentials.newton is False
+
+    def test_symmetric_result_does_not_carry_the_mode(self):
+        cost, mu, eps = _symmetric_case(1e6)
+        res = uot_sinkhorn(cost, mu, mu, 1e6, eps=eps, tol_pot=1e-9, max_inner=50000)
+        assert res.converged and res.potentials.newton is False
+
+    @pytest.mark.parametrize("rho1, rho2", [(math.inf, math.inf), (math.inf, 1.0)])
+    def test_balanced_call_ignores_a_carried_mode(self, rho1, rho2):
+        cost, mu, nu, rho1, rho2, eps = _newton_case(rho1, rho2)
+        rng = np.random.default_rng(4)
+        f0, g0 = 0.1 * rng.normal(size=mu.size), 0.1 * rng.normal(size=nu.size)
+        plain, carried = (
+            uot_sinkhorn(cost, mu, nu, rho1, rho2, eps=eps, init=Potentials(f0, g0, newton),
+                         tol_pot=1e-9, max_inner=50000) for newton in (False, True))
+        assert (carried.iterations, carried.newton_steps) == (plain.iterations, plain.newton_steps)
+        np.testing.assert_array_equal(carried.potentials.f, plain.potentials.f)
+        np.testing.assert_array_equal(carried.potentials.g, plain.potentials.g)
+        assert carried.potentials.newton is plain.potentials.newton is False
+
+
 def _symmetric_case(rho, n=7, eps=0.05):
     """Squared distances between points of the unit square, one weight vector
     for both sides (a probability vector in the balanced mode)."""

@@ -299,6 +299,18 @@ class TestSolveUgw:
         assert sol.converged
         assert sol.diagnostics["newton_steps"] == sum(counted) > 0
 
+    def test_inner_calls_carry_newton_mode(self):
+        # moons-outliers' cloud 1 at n = 16 and rho = 10: the inner calls take
+        # 445 sweeps when each one estimates its rate afresh
+        cloud = gen_shape("two_moons_outliers", 16, 1, n_outliers=3)
+        clean = gen_shape("two_moons_outliers", 16, 10_001, n_outliers=0)
+        X, Y = space_from_points(cloud), space_from_points(clean)
+        sol = solve_ugw(X, Y, UgwConfig(eps=1e-2, rho1=10.0, tol_pot=1e-11))
+        assert sol.converged and sol.outer_iterations == 36
+        assert sol.diagnostics["sweeps"] == 164
+        # F(pi, pi) as the calls that start without Newton mode reach it
+        assert sol.cost_primal == pytest.approx(1.3365074653642741, rel=1e-12, abs=0)
+
     def test_log_gap_is_the_last_one_the_outer_test_read(self):
         X, Y = self.make_pair(7)
         cfg = UgwConfig(eps=1e-2, rho1=1.0, tol_pot=1e-11)
@@ -399,8 +411,11 @@ class TestSelfComparison:
         return (space_from_points(pts, weights=weights),
                 space_from_points(pts[perm], weights=weights[perm]), perm)
 
-    @pytest.mark.parametrize("rho", [0.5, 1.0, 10.0])
-    def test_matches_the_solve_against_a_permuted_copy(self, rho):
+    # at rho = 10 both solves stop at a log gap of 5e-6, half tol_plan, and
+    # their plans agree to 1.2e-12 only
+    @pytest.mark.parametrize("rho, atol", [(0.5, 1e-12), (1.0, 1e-12), (10.0, 2e-12)],
+                             ids=["0.5", "1.0", "10.0"])
+    def test_matches_the_solve_against_a_permuted_copy(self, rho, atol):
         X, Xp, perm = self.make_space(17)
         cfg = UgwConfig(eps=1e-2, rho1=rho, tol_pot=1e-11)
         own = solve_ugw(X, X, cfg)
@@ -409,13 +424,14 @@ class TestSelfComparison:
         assert other.diagnostics["symmetric"] is False
         assert own.converged and other.converged
         assert own.diagnostics["inner_capped"] == other.diagnostics["inner_capped"] == 0
-        # every inner problem of the self solve took the single-potential path
-        assert own.diagnostics["sweeps"] < other.diagnostics["sweeps"]
+        # every inner problem of the self solve took the single-potential path:
+        # its half-sweeps take one kernel product each, a full sweep two
+        assert own.diagnostics["sweeps"] < 2 * other.diagnostics["sweeps"]
         np.testing.assert_allclose(own.cost_biconvex, other.cost_biconvex, rtol=1e-9)
         # column k of the permuted solve couples point perm[k] of X
         undone = np.empty_like(other.pi.values)
         undone[:, perm] = other.pi.values
-        np.testing.assert_allclose(own.pi.values, undone, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(own.pi.values, undone, rtol=0, atol=atol)
 
     def test_equal_copy_is_a_self_comparison(self):
         X, _, _ = self.make_space(18)

@@ -22,10 +22,11 @@ between corresponding numbers and where it is: the key path in a JSON output
 (``tightness.plan_gap``, ``[3].ratio``), line:column in any other. A number
 within 1e-12 of the output's largest |number| of zero counts as zero and is
 left out: a residual or a cost of 0 comes out as 1e-17 on one side and
--1e-17 on the other. The counters ``iterations``, ``sweeps`` and
-``newton_steps`` (JSON keys and ``name=value`` in stdout) are left out of
-that maximum: a counter that moved is named with both values. The run with
-the largest relative difference, and where in it, is named at the end.
+-1e-17 on the other. The counters ``iterations``, ``sweeps``,
+``newton_steps`` and ``lp_pivots`` (JSON keys and ``name=value`` in stdout)
+are left out of that maximum: a counter that moved is named with both
+values. The run with the largest relative difference, and where in it, is
+named at the end.
 """
 
 import json
@@ -153,7 +154,7 @@ def run(src, argv, work):
 
 NUMBER = re.compile(rb"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
 # an iteration counter: "sweeps": 235 in JSON, iterations=12 in stdout
-COUNTERS = ("iterations", "sweeps", "newton_steps")
+COUNTERS = ("iterations", "sweeps", "newton_steps", "lp_pivots")
 COUNTER = re.compile(rb"\b(" + "|".join(COUNTERS).encode() + rb')("?(?:: |=))(\d+)(?![\w.])')
 
 
