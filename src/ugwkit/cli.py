@@ -294,7 +294,8 @@ def cmd_cgw(out_dir, seed, fmt, x, y, x_weights=None, y_weights=None, rho=1.0, g
     log = res.restart_log
     summary = {"cost": res.cost, "restart_costs": [entry["cost"] for entry in log],
                "lp_pivots": sum(entry["pivots"] for entry in log),
-               "unconverged_restarts": sum(not entry["converged"] for entry in log)}
+               "unconverged_restarts": sum(not entry["converged"] for entry in log),
+               "reused_restarts": sum(entry["reused_from"] is not None for entry in log)}
     if with_ugw:
         summary["ratio_vs_ugw"] = ratio
         summary["ugw_primal"] = sol.primal_unregularized

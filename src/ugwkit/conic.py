@@ -67,8 +67,8 @@ class ConeMetricSpec:
         if key not in _SETTINGS:
             raise ValueError(f"unknown cone setting {self.setting!r}")
         object.__setattr__(self, "setting", key)
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
+        if not 0 < self.rho < math.inf:
+            raise ValueError("rho must be positive and finite")
         if key != "ptv":
             object.__setattr__(self, "q", _SETTINGS[key][2])
         elif not self.q >= 1:
@@ -419,9 +419,22 @@ def solve_cgw(X, Y, spec=None, K=10, L=10, restarts=20, seed=0, max_rounds=200, 
     restart starts from the basis the last restart's first round ended at,
     which is nearer its optimum than the one that restart finished at.
 
+    Everything after a round is a function of the ordered basis it ended at:
+    the next cost comes from that basis's plan, the next LP starts from it,
+    and the decrease test compares costs of such plans. So a restart whose
+    round ends at a basis where an earlier restart's round ended and went on,
+    and which does not stop there itself, takes over the earlier restart's
+    remaining rounds instead of solving them again: its trace, cost and
+    ``converged`` are the earlier restart's. Only rounds of a restart the
+    decrease test stopped are taken over, and only if they fit in this
+    restart's remaining max_rounds. Its cost equals the earlier one, so its
+    plan is never the best; only bases are kept, and only for the call.
+
     Each restart_log entry holds the restart's init kind, rounds, final cost
-    and cost trace, its LP pivots and seconds, and ``converged``: whether the
-    decrease test stopped it before max_rounds.
+    and cost trace, the pivots and seconds of its own LP calls, and
+    ``converged``: whether the decrease test stopped it before max_rounds.
+    ``reused_from`` names the restart whose rounds it took over (None if
+    none) and ``reused_rounds`` counts them.
     """
     if spec is None:
         spec = ConeMetricSpec("gh", rho=1.0)
@@ -447,6 +460,7 @@ def solve_cgw(X, Y, spec=None, K=10, L=10, restarts=20, seed=0, max_rounds=200, 
     best_plan = None
     log = []
     first_basis = None  # the basis the last restart's first LP ended at
+    went_on = {}  # basis bytes -> (restart, round) that first ended a non-final round there
     for idx in range(restarts):
         kind = "product" if idx < n_prod else "permutation"
         plan = (_product_init if kind == "product" else _permutation_init)(rng, mu, nu, r, s)
@@ -458,6 +472,7 @@ def solve_cgw(X, Y, spec=None, K=10, L=10, restarts=20, seed=0, max_rounds=200, 
         trace = [cost]
         pivots = 0
         converged = False
+        reused_from, reused_rounds = None, 0
         basis = first_basis
         for rnd in range(max_rounds):
             sol = solve_lp(lp.with_cost(c), init_basis=basis)
@@ -476,9 +491,19 @@ def solve_cgw(X, Y, spec=None, K=10, L=10, restarts=20, seed=0, max_rounds=200, 
             if improved <= tol * (1.0 + abs(new_cost)):
                 converged = True
                 break
+            src, src_rnd = went_on.setdefault(basis.tobytes(), (idx, rnd))
+            if src == idx or not log[src]["converged"]:
+                continue
+            rest = log[src]["trace"][src_rnd + 2:]  # the costs of its rounds after this one
+            if len(rest) < max_rounds - rnd:
+                trace += rest
+                cost, converged = log[src]["cost"], True
+                reused_from, reused_rounds = src, len(rest)
+                break
         log.append({"init": kind, "rounds": len(trace) - 1, "cost": cost, "trace": trace,
                     "pivots": pivots, "seconds": time.perf_counter() - start,
-                    "converged": converged})
+                    "converged": converged, "reused_from": reused_from,
+                    "reused_rounds": reused_rounds})
         if best_plan is None or cost < best_cost:
             best_cost, best_plan = cost, plan
     if best_plan.ndim == 1:  # an LP solution on the kept cells

@@ -240,6 +240,7 @@ class TestCgw:
         assert summary["cost"] == pytest.approx(min(summary["restart_costs"]), rel=1e-12)
         assert summary["lp_pivots"] > 0
         assert 0 <= summary["unconverged_restarts"] <= 6
+        assert 0 <= summary["reused_restarts"] <= 5  # restart 0 has no earlier path to join
         with open(tmp_path / "cgw_plan.csv") as fh:
             assert fh.readline().strip() == "i,r,j,s,mass"
 
@@ -367,6 +368,9 @@ class TestBadInput:
         ("ugw", ["--x", "no_dist.json"], "a space needs the key 'dist'"),
         ("ugw", ["--x", "no_weights.json"], "a space needs the key 'weights'"),
         ("ugw", ["--x", "list.json"], "a space must be a JSON object"),
+        ("cgw", ["--rho", "inf"], "rho must be positive and finite"),
+        ("ratio-hist", ["--rho", "inf"], "rho must be positive and finite"),
+        ("perturb", ["--rho", "inf"], "rho must be positive and finite"),
     ])
     def test_exits_2_with_one_line(self, command, argv, message, tmp_path, capsys, monkeypatch):
         x_path, y_path = _space_files(tmp_path)

@@ -35,6 +35,8 @@ class TestConeMetricSpec:
             ConeMetricSpec("euclid")
         with pytest.raises(ValueError):
             ConeMetricSpec("gh", rho=0.0)
+        with pytest.raises(ValueError, match="rho must be positive and finite"):
+            ConeMetricSpec("gh", rho=math.inf)
         with pytest.raises(ValueError):
             ConeMetricSpec("ptv", q=0.5)
 
@@ -411,7 +413,8 @@ class TestSolveCgw:
             assert entry["converged"] == (trace[-2] - trace[-1] <= 1e-9 * (1.0 + abs(trace[-1])))
             assert entry["converged"] or entry["rounds"] == 40
         assert sum(entry["pivots"] for entry in res.restart_log) == sum(pivots)
-        assert len(pivots) == sum(entry["rounds"] for entry in res.restart_log)
+        assert len(pivots) == sum(entry["rounds"] - entry["reused_rounds"]
+                                  for entry in res.restart_log)
 
     def test_restarts_start_from_the_last_first_round_basis(self):
         # each restart's first LP starts where the previous restart's first LP
@@ -423,6 +426,81 @@ class TestSolveCgw:
         res = solve_cgw(X, Y, spec=ConeMetricSpec("gh", rho=1.0), K=10, L=10, restarts=8)
         assert res.cost == pytest.approx(1.7703998110289418, rel=1e-12, abs=0)
         assert sum(entry["pivots"] for entry in res.restart_log) < 314
+
+    def test_restarts_take_over_a_path_already_solved(self, monkeypatch):
+        # the product restarts of this instance end their first LP at the basis
+        # restart 0's first LP ended at; they take over restart 0's later
+        # rounds, with the traces and cost they would have solved for
+        rng = np.random.default_rng(20)
+        X = random_space(rng, 3, weights="mass")
+        Y = random_space(rng, 4, weights="mass")
+        calls = []
+
+        def counted(problem, init_basis=None):
+            calls.append(init_basis)
+            return solve_lp(problem, init_basis=init_basis)
+
+        monkeypatch.setattr(conic, "solve_lp", counted)
+        res = solve_cgw(X, Y, spec=ConeMetricSpec("gh", rho=1.0), K=10, L=10, restarts=8)
+        log = res.restart_log
+        assert res.cost == pytest.approx(1.7703998110289418, rel=1e-12, abs=0)
+        assert len(calls) == sum(entry["rounds"] - entry["reused_rounds"] for entry in log)
+        assert any(entry["reused_from"] is not None for entry in log)
+        for idx, entry in enumerate(log):
+            k = entry["reused_rounds"]
+            if entry["reused_from"] is None:
+                assert k == 0
+                continue
+            src = log[entry["reused_from"]]
+            assert entry["reused_from"] < idx and 0 < k < src["rounds"]
+            assert src["converged"] and entry["converged"] and entry["cost"] == src["cost"]
+            # from the round that ended at the shared basis on, the traces agree
+            assert entry["trace"][-k - 1:] == src["trace"][-k - 1:]
+
+    def test_unconverged_rounds_are_not_taken_over(self, monkeypatch):
+        # at max_rounds=3 restart 0 of the instance above stops unconverged, so
+        # the product restarts that pass through its bases solve their own
+        # rounds, as the full-grid oracle does
+        rng = np.random.default_rng(20)
+        X = random_space(rng, 3, weights="mass")
+        Y = random_space(rng, 4, weights="mass")
+        res, ref = self._with_oracle(monkeypatch, X, Y, ConeMetricSpec("gh", rho=1.0), K=10,
+                                     L=10, restarts=8, seed=0, max_rounds=3)
+        log = res.restart_log
+        assert not log[0]["converged"]
+        for entry in log[1:4]:
+            assert entry["trace"][1:] == log[0]["trace"][1:]
+        for entry, (trace, _) in zip(log, ref, strict=True):
+            assert entry["reused_from"] is None and entry["reused_rounds"] == 0
+            np.testing.assert_allclose(entry["trace"], trace, rtol=1e-12, atol=0)
+
+    @staticmethod
+    def _with_oracle(monkeypatch, X, Y, spec, max_rounds, **grid):
+        """solve_cgw's result, and the full-grid oracle's (trace, grid) per
+        restart from the same initial plans."""
+        inits = []
+
+        def recorded(make):
+            def init(*args):
+                inits.append(make(*args))
+                return inits[-1]
+            return init
+
+        monkeypatch.setattr(conic, "_product_init", recorded(conic._product_init))
+        monkeypatch.setattr(conic, "_permutation_init", recorded(conic._permutation_init))
+        res = solve_cgw(X, Y, spec=spec, max_rounds=max_rounds, **grid)
+
+        def lp_solve(A, b, c, basis):
+            sol = solve_lp(LpProblem(A, b, c), init_basis=basis)
+            assert sol.status == "optimal"
+            return sol.x, sol.basis
+
+        def local_cost(grid):
+            return conic_local_cost(ConicPlan.from_grid(grid, res.alpha.R), X.dist, Y.dist, spec)
+
+        r, s = res.alpha.radii()
+        return res, oracles.cgw_full_grid_loop(X.weights, Y.weights, r, s, inits, local_cost,
+                                               lp_solve, max_rounds=max_rounds, tol=1e-9)
 
     @pytest.mark.parametrize("n,m", [
         (3, 6), (4, 4), (6, 3), (1, 5), (5, 1),
@@ -458,30 +536,9 @@ class TestSolveCgw:
         rng = np.random.default_rng([16, seed])
         X = random_space(rng, n, weights="mass")
         Y = random_space(rng, m, weights="mass")
-        spec = ConeMetricSpec("gh", rho=0.5)
-        inits = []
-
-        def recorded(make):
-            def init(*args):
-                inits.append(make(*args))
-                return inits[-1]
-            return init
-
-        monkeypatch.setattr(conic, "_product_init", recorded(conic._product_init))
-        monkeypatch.setattr(conic, "_permutation_init", recorded(conic._permutation_init))
-        res = solve_cgw(X, Y, spec=spec, K=K, L=L, restarts=6, seed=seed, max_rounds=40)
-
-        def lp_solve(A, b, c, basis):
-            sol = solve_lp(LpProblem(A, b, c), init_basis=basis)
-            assert sol.status == "optimal"
-            return sol.x, sol.basis
-
-        def local_cost(grid):
-            return conic_local_cost(ConicPlan.from_grid(grid, res.alpha.R), X.dist, Y.dist, spec)
-
+        res, ref = self._with_oracle(monkeypatch, X, Y, ConeMetricSpec("gh", rho=0.5), K=K,
+                                     L=L, restarts=6, seed=seed, max_rounds=40)
         r, s = res.alpha.radii()
-        ref = oracles.cgw_full_grid_loop(X.weights, Y.weights, r, s, inits, local_cost,
-                                         lp_solve, max_rounds=40, tol=1e-9)
         assert len(ref) == len(res.restart_log) == 6
         for entry, (trace, _) in zip(res.restart_log, ref):
             assert entry["rounds"] == len(trace) - 1

@@ -25,21 +25,31 @@ The output is one JSON file:
   sweeps, capped calls, outer steps, LP pivots, rounds) that the traced run
   of either side reports nonzero (0 where a side lacks one). They do not
   depend on the machine. The per-layer times are left out: one traced run
-  per side cannot resolve a change of a few percent in them.
+  per side cannot resolve a change of a few percent in them;
+- ``tier1`` (with ``--tier1``): per side, one run of the tier-1 command
+  ``PYTHONPATH=src python -m pytest -q --continue-on-collection-errors
+  --durations=10`` in the tree, the old tree first: its wall seconds, exit
+  code, summary line and ten slowest test phases.
 
-The exit code is 1 when a run fails a check or prints no result.
+The exit code is 1 when a run fails a check or prints no result, or a
+tier-1 run fails.
 """
 
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 TRACE_SEED = 11
 END_TO_END = ("wall_s", "setup_s", "peak_rss_mb")
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10")
+# a --durations line: "7.61s call     tests/test_acceptance.py::test_criterion_10_..."
+DURATION = re.compile(r"^(\d+(?:\.\d+)?)s (setup|call|teardown)\s+(\S.*)$")
 
 
 def parse_args(argv):
@@ -48,6 +58,8 @@ def parse_args(argv):
     p.add_argument("new_tree", type=Path)
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--tier1", action="store_true",
+                   help="also time one tier-1 test run per tree")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
@@ -116,6 +128,25 @@ def traced(args, workload, log):
         all(correct.values())
 
 
+def tier1(args, log):
+    """One tier-1 run per side, the old tree first: wall seconds, exit code,
+    pytest's summary line and its ten slowest test phases."""
+    out = {}
+    for side, tree in (("before", args.old_tree), ("after", args.new_tree)):
+        env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env,
+                              capture_output=True, text=True, timeout=3600)
+        wall = time.perf_counter() - start
+        lines = proc.stdout.splitlines()
+        slowest = [{"s": float(m[1]), "phase": m[2], "test": m[3]}
+                   for m in map(DURATION.match, lines) if m]
+        out[side] = {"wall_s": wall, "exit_code": proc.returncode,
+                     "summary": lines[-1].strip("= ") if lines else "", "slowest": slowest}
+        log(f"tier-1 {side}: {wall:.1f} s, {out[side]['summary']}")
+    return out
+
+
 def main(argv=None):
     args = parse_args(sys.argv[1:] if argv is None else argv)
 
@@ -136,6 +167,9 @@ def main(argv=None):
     for workload in args.workloads:
         out[f"traced_seed{TRACE_SEED}"][workload], passed = traced(args, workload, log)
         ok = ok and passed
+    if args.tier1:
+        out["tier1"] = tier1(args, log)
+        ok = ok and all(side["exit_code"] == 0 for side in out["tier1"].values())
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     ok = ok and all(row[side]["correct"] for w in out["workloads"].values()
                     for row in w["pairs"].values() for side in row)
