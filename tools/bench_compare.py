@@ -26,13 +26,17 @@ The output is one JSON file:
   of either side reports nonzero (0 where a side lacks one). They do not
   depend on the machine. The per-layer times are left out: one traced run
   per side cannot resolve a change of a few percent in them;
-- ``tier1`` (with ``--tier1``): per side, one run of the tier-1 command
+- ``tier1``: per side, two runs of the tier-1 command
   ``PYTHONPATH=src python -m pytest -q --continue-on-collection-errors
-  --durations=10`` in the tree, the old tree first: its wall seconds, exit
-  code, summary line and ten slowest test phases.
+  --durations=10`` in the tree, in the order old, new, new, old: each run's
+  wall seconds, exit code, summary line and ten slowest test phases, or the
+  error that stopped it. Two runs per side cannot resolve a change of a few
+  percent; they show where the test time goes.
 
-The exit code is 1 when a run fails a check or prints no result, or a
-tier-1 run fails.
+The file is written once the pairs and traced runs are done, and again
+with ``tier1``, so an error in the tier-1 step keeps the pairs. The exit
+code is 1 when a run fails a check or prints no result, or a tier-1 run
+fails.
 """
 
 import argparse
@@ -58,8 +62,6 @@ def parse_args(argv):
     p.add_argument("new_tree", type=Path)
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--tier1", action="store_true",
-                   help="also time one tier-1 test run per tree")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
@@ -129,21 +131,30 @@ def traced(args, workload, log):
 
 
 def tier1(args, log):
-    """One tier-1 run per side, the old tree first: wall seconds, exit code,
-    pytest's summary line and its ten slowest test phases."""
-    out = {}
-    for side, tree in (("before", args.old_tree), ("after", args.new_tree)):
+    """Two tier-1 runs per side, old, new, new, old: per run the wall seconds,
+    exit code, pytest's summary line and its ten slowest test phases, or the
+    error that stopped the run."""
+    out = {"before": [], "after": []}
+    for side in ("before", "after", "after", "before"):
+        tree = args.old_tree if side == "before" else args.new_tree
         env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
         start = time.perf_counter()
-        proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env,
-                              capture_output=True, text=True, timeout=3600)
+        try:
+            proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env,
+                                  capture_output=True, text=True, timeout=3600)
+        except (OSError, subprocess.SubprocessError) as exc:
+            out[side].append({"wall_s": time.perf_counter() - start, "exit_code": None,
+                              "error": f"{type(exc).__name__}: {exc}"})
+            log(f"tier-1 {side}: {out[side][-1]['error']}")
+            continue
         wall = time.perf_counter() - start
         lines = proc.stdout.splitlines()
         slowest = [{"s": float(m[1]), "phase": m[2], "test": m[3]}
                    for m in map(DURATION.match, lines) if m]
-        out[side] = {"wall_s": wall, "exit_code": proc.returncode,
-                     "summary": lines[-1].strip("= ") if lines else "", "slowest": slowest}
-        log(f"tier-1 {side}: {wall:.1f} s, {out[side]['summary']}")
+        out[side].append({"wall_s": wall, "exit_code": proc.returncode,
+                          "summary": lines[-1].strip("= ") if lines else "",
+                          "slowest": slowest})
+        log(f"tier-1 {side}: {wall:.1f} s, {out[side][-1]['summary']}")
     return out
 
 
@@ -158,7 +169,9 @@ def main(argv=None):
                     f"--seconds {args.seconds:g} --trace 0, {args.pairs} pairs per workload; "
                     f"pairs alternate which side runs first (odd seeds the old tree first). "
                     f"traced_seed{TRACE_SEED}: one --trace 1 run per side at seed "
-                    f"{TRACE_SEED}, its per-layer counters (unit count in BENCHMARK.json)"),
+                    f"{TRACE_SEED}, its per-layer counters (unit count in BENCHMARK.json). "
+                    f"tier1: two tier-1 test runs per side, old, new, new, old; too few "
+                    f"to resolve a change of a few percent"),
            "machine": None, "workloads": {}, f"traced_seed{TRACE_SEED}": {}}
     for workload in args.workloads:
         out["workloads"][workload], machine = compare_workload(args, workload, log)
@@ -167,10 +180,10 @@ def main(argv=None):
     for workload in args.workloads:
         out[f"traced_seed{TRACE_SEED}"][workload], passed = traced(args, workload, log)
         ok = ok and passed
-    if args.tier1:
-        out["tier1"] = tier1(args, log)
-        ok = ok and all(side["exit_code"] == 0 for side in out["tier1"].values())
     args.out.write_text(json.dumps(out, indent=1) + "\n")
+    out["tier1"] = tier1(args, log)
+    args.out.write_text(json.dumps(out, indent=1) + "\n")
+    ok = ok and all(run["exit_code"] == 0 for runs in out["tier1"].values() for run in runs)
     ok = ok and all(row[side]["correct"] for w in out["workloads"].values()
                     for row in w["pairs"].values() for side in row)
     for workload, w in out["workloads"].items():
