@@ -87,7 +87,12 @@ def space_from_dict(d):
     for key in ("dist", "weights"):
         if key not in d:
             raise ValueError(f"a space needs the key {key!r}")
-    return MmSpace(np.asarray(d["dist"], float), np.asarray(d["weights"], float), d.get("label"))
+    try:
+        dist, weights = np.asarray(d["dist"], float), np.asarray(d["weights"], float)
+    except TypeError as exc:
+        # an entry such as {} or null: a TypeError, where a bad string is a ValueError
+        raise ValueError(f"dist and weights must hold numbers: {exc}") from exc
+    return MmSpace(dist, weights, d.get("label"))
 
 
 def save_space(X, path):

@@ -252,7 +252,8 @@ def _newton(k_row, log_mu, mu, nu, f, g, eps, rho1, rho2):
         # zero gradient too, so it takes no step: 1/B is 0 there
         Binv = np.divide(1.0, B, out=np.zeros_like(B), where=B > 0.0)
         grad = a - p1
-        S = np.diag((1.0 + RIDGE) * A) - (pi * Binv).dot(pi.T)
+        S = -(pi * Binv).dot(pi.T)
+        S.flat[::A.size + 1] += (1.0 + RIDGE) * A  # the diagonal of S
         if math.isinf(rho1) and math.isinf(rho2):
             # the gauge (f + c, g - c) is the null space of S: step orthogonal to it
             grad -= grad.mean()
@@ -265,11 +266,12 @@ def _newton(k_row, log_mu, mu, nu, f, g, eps, rho1, rho2):
         slope = eps * grad.dot(u)
         if not slope > 0.0:
             return f, g, False
+        uv = u[:, None] + v
         t = 1.0
         for _ in range(NEWTON_HALVINGS):
             df, dg = (t * eps) * u, (t * eps) * v
             gain = (_gain(a, df, rho1) + _gain(b, dg, rho2)
-                    - eps * np.sum(pi * np.expm1(t * (u[:, None] + v))))
+                    - eps * np.sum(pi * np.expm1(t * uv)))
             # a non-finite step fails this test at every length
             if gain >= ARMIJO * t * slope:
                 return f + df, g + dg, True
@@ -367,7 +369,10 @@ def uot_sinkhorn(
     hit (the result is then flagged, not an error); the sweeps before it may
     be followed by a Newton step, the last one never is (see the module
     docstring); ``newton_steps`` counts the Newton steps.
-    rho=inf on either side is the balanced mode for that marginal.
+    rho=inf on either side is the balanced mode for that marginal. The plan
+    pi_ij = exp((f_i + g_j - c_ij)/eps) mu_i nu_j is formed once, from the
+    returned potentials and the logs of mu and nu that the kernels were built
+    from; a plan entry that overflows raises FloatingPointError.
 
     An exactly symmetric problem (cost equal to its transpose, mu equal to nu,
     rho1 == rho2) runs the averaged single-potential iteration instead, and
@@ -394,9 +399,10 @@ def uot_sinkhorn(
     if mu.shape != (n,) or nu.shape != (m,):
         raise ValueError("marginal sizes do not match the cost matrix")
 
+    log_mu, log_nu = np.log(mu), np.log(nu)
+    cost_eps = cost / eps
     # row i of k_row is log nu - cost_i./eps
-    k_row = np.log(nu)[None, :] - cost / eps
-    log_mu = np.log(mu)
+    k_row = log_nu[None, :] - cost_eps
     if init is None:
         f = np.zeros(n)
         g = np.zeros(m)
@@ -416,38 +422,25 @@ def uot_sinkhorn(
                 k_row, 0.5 * (f + g), eps, rho1, tol_pot, max_inner)
         else:
             # row j of k_col is log mu - cost_.j/eps
-            k_col = np.ascontiguousarray((log_mu[:, None] - cost / eps).T)
+            k_col = np.ascontiguousarray((log_mu[:, None] - cost_eps).T)
             f, g, it, newton_steps, converged, residual, newton = _alternating(
                 k_row, k_col, log_mu, mu, nu, f, g, eps, rho1, rho2, tol_pot, max_inner,
                 unbalanced and init is not None and init.newton)
     if not np.all(np.isfinite(g)):
         raise FloatingPointError("non-finite potential: cost scale is too large for this eps")
 
-    plan = plan_from_potentials(f, g, cost, eps, mu, nu)
+    # from (f + g - cost)/eps, not from k_row: at eps = 1e-300 only this form
+    # overflows, and so reports potentials that do not fit the eps scale
+    with np.errstate(over="raise"):
+        try:
+            values = np.exp((f[:, None] + g[None, :] - cost) / eps
+                            + log_mu[:, None] + log_nu[None, :])
+        except FloatingPointError as exc:
+            raise FloatingPointError(
+                "plan overflow: potentials do not match this eps scale") from exc
     if symmetric:
         # g = T(f) is off f by up to the residual; averaging the plan with its
         # transpose makes it exactly symmetric, as the fixed point's plan is
-        plan = TransportPlan(0.5 * (plan.values + plan.values.T))
-    return SinkhornResult(Potentials(f, g, unbalanced and newton), plan, it, converged, residual,
-                          newton_steps)
-
-
-def plan_from_potentials(f, g, cost, eps, mu, nu):
-    """pi_ij = exp((f_i + g_j - c_ij)/eps) mu_i nu_j as a TransportPlan."""
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    cost = np.asarray(cost, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    with np.errstate(over="raise"):
-        try:
-            values = np.exp(
-                (f[:, None] + g[None, :] - cost) / eps
-                + np.log(mu)[:, None]
-                + np.log(nu)[None, :]
-            )
-        except FloatingPointError as exc:
-            raise FloatingPointError(
-                "plan overflow: potentials do not match this eps scale"
-            ) from exc
-    return TransportPlan(values)
+        values = 0.5 * (values + values.T)
+    return SinkhornResult(Potentials(f, g, unbalanced and newton), TransportPlan(values), it,
+                          converged, residual, newton_steps)

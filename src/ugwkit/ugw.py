@@ -316,8 +316,7 @@ def solve_ugw(X, Y, cfg, init_plan=None):
         sweeps += res.iterations
         newton_steps += res.newton_steps
         init = res.potentials
-        raw = res.plan.values
-        m_raw = float(raw.sum())
+        raw, m_raw = res.plan.values, res.plan.mass
         if not (m_raw > 0 and np.isfinite(m_raw)):
             aborted = "plan mass underflow"
             break

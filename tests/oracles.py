@@ -93,15 +93,19 @@ def tensor_kl_full(a, b, p, q):
 
 
 def ternary_min(f, lo, hi, iters=300):
-    """Scalar minimizer by interval thirds; independent of golden section."""
+    """Scalar minimizer by interval thirds; independent of golden section.
+
+    Returns early once a step leaves (a, b) unchanged: a only rises and b
+    only falls, so every later step would leave it unchanged too.
+    """
     a, b = lo, hi
     for _ in range(iters):
         m1 = a + (b - a) / 3.0
         m2 = b - (b - a) / 3.0
-        if f(m1) <= f(m2):
-            b = m2
-        else:
-            a = m1
+        step = (a, m2) if f(m1) <= f(m2) else (m1, b)
+        if step == (a, b):
+            break
+        a, b = step
     return 0.5 * (a + b)
 
 
@@ -254,6 +258,16 @@ def sinkhorn_log_loop(cost, mu, nu, rho1, rho2, eps, f, g, tol_pot, max_inner):
         if np.max(np.abs(f - f_prev)) <= tol_pot:
             break
     return f, g, it
+
+
+def plan_from_potentials(f, g, cost, eps, mu, nu):
+    """The plan exp((f_i + g_j - c_ij)/eps) mu_i nu_j, entry by entry."""
+    n, m = np.shape(cost)
+    P = np.empty((n, m))
+    for i in range(n):
+        for j in range(m):
+            P[i, j] = math.exp((f[i] + g[j] - cost[i][j]) / eps) * mu[i] * nu[j]
+    return P
 
 
 def dijkstra_geodesics(g):

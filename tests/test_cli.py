@@ -371,6 +371,9 @@ class TestBadInput:
         ("cgw", ["--rho", "inf"], "rho must be positive and finite"),
         ("ratio-hist", ["--rho", "inf"], "rho must be positive and finite"),
         ("perturb", ["--rho", "inf"], "rho must be positive and finite"),
+        ("ugw", ["--x", "dict_weights.json"], "cannot load space from dict_weights.json"),
+        ("ugw", ["--x", "dict_dist.json"], "cannot load space from dict_dist.json"),
+        ("graph-match", ["--n", "1"], "need at least 2 community nodes"),
     ])
     def test_exits_2_with_one_line(self, command, argv, message, tmp_path, capsys, monkeypatch):
         x_path, y_path = _space_files(tmp_path)
@@ -378,9 +381,11 @@ class TestBadInput:
         # weights with one non-finite entry, named relative to tmp_path
         for word in ("nan", "inf"):
             np.savetxt(tmp_path / f"{word}_mu.txt", [0.4, float(word), 0.4])
-        # space files that are not a dist/weights object
+        # space files that are not a dist/weights object of numbers
         for name, content in (("no_dist", {"weights": [1.0]}), ("no_weights", {"dist": [[0]]}),
-                              ("list", [1, 2])):
+                              ("list", [1, 2]),
+                              ("dict_weights", {"dist": [[0, 1], [1, 0]], "weights": {"a": 1}}),
+                              ("dict_dist", {"dist": [[0, {}], [1, 0]], "weights": [1, 1]})):
             (tmp_path / f"{name}.json").write_text(json.dumps(content))
         monkeypatch.chdir(tmp_path)
         heavy_x, heavy_y = _space_files(tmp_path, weight=1e300)  # the product plan overflows

@@ -84,6 +84,26 @@ def test_beale_cycling_example():
     np.testing.assert_allclose(sol.objective, best, atol=1e-10)
 
 
+def test_blands_rule_alone_reaches_the_optimum():
+    # switch_after=0 prices by Bland's rule from the first pivot on
+    rng = np.random.default_rng(3)
+    pivots = 0
+    for _ in range(20):
+        m, n = 3, 5
+        A = np.hstack([rng.uniform(0.1, 1.0, size=(m, n)), np.eye(m)])
+        b = rng.uniform(0.5, 2.0, size=m)
+        c = rng.uniform(0.0, 3.0, size=n + m)
+        basis = np.arange(n, n + m)  # the slack basis: feasible as b > 0
+        status, it = lp._simplex(A, b, c, basis, np.eye(m), switch_after=0)
+        assert status == "optimal"
+        x = np.zeros(n + m)
+        x[basis] = np.linalg.solve(A[:, basis], b)
+        best, _ = oracles.enumerate_vertices(A, b, c)
+        np.testing.assert_allclose(c @ x, best, rtol=1e-9, atol=1e-12)
+        pivots += it
+    assert pivots > 0
+
+
 def test_redundant_rows_are_handled():
     rng = np.random.default_rng(2)
     prob = random_bounded_lp(rng, max_m=3, max_n=6)

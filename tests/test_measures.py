@@ -60,6 +60,8 @@ class TestMmSpace:
     def test_validation(self):
         with pytest.raises(ValueError):
             MmSpace(np.zeros((2, 3)), [1.0, 1.0])
+        with pytest.raises(ValueError, match="dist and weights size mismatch"):
+            MmSpace(np.zeros((2, 2)), [1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
             MmSpace(np.zeros((2, 2)), [1.0, -1.0])
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from ugwkit import sinkhorn
 from ugwkit.app import run_moons
 from ugwkit.measures import kl_div
-from ugwkit.sinkhorn import Potentials, _lse_rows, plan_from_potentials, uot_sinkhorn
+from ugwkit.sinkhorn import Potentials, _lse_rows, uot_sinkhorn
 
 import oracles
 
@@ -139,6 +139,8 @@ class TestUotSinkhorn:
             uot_sinkhorn(c, np.array([0.5, 0.0]), mu, 1.0, eps=0.1)
         with pytest.raises(ValueError):
             uot_sinkhorn(np.array([[np.inf, 0.0], [0.0, 0.0]]), mu, mu, 1.0, eps=0.1)
+        with pytest.raises(ValueError, match="marginal sizes do not match the cost matrix"):
+            uot_sinkhorn(np.zeros((2, 3)), mu, mu, 1.0, eps=0.1)
 
     def test_rho2_defaults_to_rho1(self):
         rng = np.random.default_rng(5)
@@ -256,7 +258,7 @@ class TestFusedKernel:
         tol = 1e-9
         zero = (np.zeros(mu.size), np.zeros(nu.size))
         f, g, _ = oracles.sinkhorn_log_loop(cost, mu, nu, rho1, rho2, eps, *zero, 1e-14, 500000)
-        exact = plan_from_potentials(f, g, cost, eps, mu, nu).values
+        exact = oracles.plan_from_potentials(f, g, cost, eps, mu, nu)
         pf, pg, plain_sweeps = oracles.sinkhorn_log_loop(cost, mu, nu, rho1, rho2, eps, *zero,
                                                          tol, 50000)
         res = uot_sinkhorn(cost, mu, nu, rho1, rho2, eps=eps, tol_pot=tol, max_inner=50000)
@@ -267,7 +269,7 @@ class TestFusedKernel:
                              max_inner=1)
         assert again.residual <= tol
         # and it is no farther from the exact plan than the plain iteration's stop point
-        plain_err = np.max(np.abs(plan_from_potentials(pf, pg, cost, eps, mu, nu).values - exact))
+        plain_err = np.max(np.abs(oracles.plan_from_potentials(pf, pg, cost, eps, mu, nu) - exact))
         assert np.max(np.abs(res.plan.values - exact)) <= plain_err + tol
 
     def test_moons_cloud_10_low_rho_has_no_overflow(self, tmp_path):
@@ -511,25 +513,24 @@ class TestSymmetricKernel:
 
 
 class TestPlanFromPotentials:
+    """The plan uot_sinkhorn forms from the potentials it returns."""
+
     def test_matches_formula(self):
         rng = np.random.default_rng(7)
-        f = rng.normal(size=3)
-        g = rng.normal(size=4)
         cost = rng.uniform(size=(3, 4))
         mu = rng.uniform(0.1, 1.0, size=3)
         nu = rng.uniform(0.1, 1.0, size=4)
         eps = 0.2
-        got = plan_from_potentials(f, g, cost, eps, mu, nu)
-        want = np.exp((f[:, None] + g[None, :] - cost) / eps) * mu[:, None] * nu[None, :]
-        np.testing.assert_allclose(got.values, want, rtol=1e-13)
+        init = Potentials(rng.normal(size=3), rng.normal(size=4))
+        res = uot_sinkhorn(cost, mu, nu, 0.7, 1.3, eps=eps, init=init, max_inner=2)
+        f, g = res.potentials.f, res.potentials.g
+        want = oracles.plan_from_potentials(f, g, cost, eps, mu, nu)
+        np.testing.assert_allclose(res.plan.values, want, rtol=1e-13)
 
     def test_overflow_raises(self):
-        with pytest.raises(FloatingPointError):
-            plan_from_potentials(
-                np.array([1e4]),
-                np.array([1e4]),
-                np.zeros((1, 1)),
-                1e-2,
-                np.array([1.0]),
-                np.array([1.0]),
-            )
+        # one sweep from g = -3000 leaves f near 1500 and g near -750; the
+        # cost is not symmetric, so the call runs the alternating sweeps
+        init = Potentials(np.zeros(2), np.full(2, -3000.0))
+        with pytest.raises(FloatingPointError, match="plan overflow"):
+            uot_sinkhorn([[0.0, 1.0], [2.0, 0.0]], np.ones(2), np.ones(2), 1.0, eps=1.0,
+                         init=init, max_inner=1)

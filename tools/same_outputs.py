@@ -108,6 +108,11 @@ def solver_runs(p):
     return [
         ["uot", "--cost", p["cost"], "--mu", p["mu"], "--nu", p["nu"], "--rho", "0.5",
          "--eps", "0.05"],
+        ["uot", "--cost", p["cost"], "--mu", p["mu"], "--nu", p["nu"], "--rho", "inf",
+         "--eps", "0.05"],
+        # a symmetric cost with mu = nu: the averaged single-potential iteration
+        ["uot", "--cost", p["x_csv"], "--mu", p["x_weights"], "--nu", p["x_weights"],
+         "--rho", "0.5", "--eps", "0.05"],
         ["ugw", *pair, "--rho", "0.5", "--eps", "0.05"],
         ["ugw", *pair, "--eps", "0.05", "--debias", "--init", "flb"],
         ["ugw", *pair, "--rho", "0.5", "--eps", "0.05", "--debias"],
@@ -117,6 +122,7 @@ def solver_runs(p):
          "--rho", "1", "--rho2", "0.5", "--eps", "0.1", "--max-outer", "5"],
         ["gw", *pair, "--eps", "0.05"],
         ["flb", *pair, "--rho", "1", "--rho2", "0.5"],
+        ["flb", "--x", p["x"], "--y", p["x"]],
         ["cgw", *pair, "--rho", "0.5", "--grid-k", "4", "--grid-l", "4", "--restarts", "3",
          "--with-ugw", "--eps", "0.01"],
         ["cgw", *pair, "--grid-k", "4", "--grid-l", "4", "--restarts", "3"],
