@@ -19,7 +19,12 @@ atom pairs, where the pair of pairs ((x, x'), (y, y')) contributes the cone
 distance between ([d_X(x, x'), r r'], [d_Y(y, y'), s s']). The solver
 restricts radii to a uniform grid on [0, R], R^2 = m(mu)^2 + m(nu)^2, and
 alternates linear programs on the frozen-cost contraction, from random
-product-form and permutation-lift initializations.
+product-form and permutation-lift initializations. A frozen plan enters the
+cost only through its moments: the radial second moments S_r, S_s and the
+first moments T_ij = sum_kl plan r_k s_l, so every cost, of a start plan or
+of an LP solution, is assembled from those. The solver works in units where
+the largest weight is in [1, 2), so that its absolute tolerances mean the
+same at every mass scale.
 """
 
 from __future__ import annotations
@@ -286,9 +291,8 @@ def conic_local_cost(beta, DX, DY, spec):
     if beta.grid.shape[:2] != (DX.shape[0], DY.shape[0]):
         raise ValueError("grid does not match the distance matrices")
     r, s = beta.radii()
-    i, j, k, l = np.nonzero(beta.grid)
-    C = _grid_cost(_pair_kernel(spec, DX, DY), spec, beta.grid[i, j, k, l], i * len(DY) + j,
-                   r[k], s[l], r[:, None], s[None, :])
+    S_r, S_s, T = _grid_moments(beta.grid, r, s)
+    C = _moment_cost(_pair_kernel(spec, DX, DY) @ T, spec.rho, S_r, S_s, r[:, None], s[None, :])
     return C.reshape(beta.grid.shape)
 
 
@@ -300,12 +304,28 @@ def _pair_kernel(spec, DX, DY):
     return np.exp(-_lambda(spec, base) / (2.0 * spec.rho))
 
 
+def _grid_moments(grid, r, s):
+    """A 4-way grid plan's radial second moments S_r, S_s and first moments
+    T[i m + j] = sum_kl grid_ijkl r_k s_l."""
+    S_r = float(grid.sum(axis=(0, 1, 3)) @ (r * r))
+    S_s = float(grid.sum(axis=(0, 1, 2)) @ (s * s))
+    return S_r, S_s, grid.reshape(-1, r.size, s.size) @ s @ r
+
+
+def _moment_cost(G, rho, S_r, S_s, r, s):
+    """The frozen-plan cost rho (r^2 S_r + s^2 S_s - 2 r s G_ij) at radii (r, s),
+    one row per pair ij, from a plan's second moments S_r, S_s and G, the pair
+    kernel applied to its first moments T. The plan's own cost against it is
+    rho (S_r^2 + S_s^2 - 2 <G, T>)."""
+    return rho * (r * r * S_r + s * s * S_s - np.multiply.outer(2.0 * G, r * s))
+
+
 def _grid_cost(W, spec, w, ij, a, e, r, s):
     """conic_local_cost's C[i m + j, cell] at the cells of radii (r, s), given the
     pair kernel W and the plan's masses w at its cells of pair ij and radii (a, e)."""
     S_r, S_s = float(w @ (a * a)), float(w @ (e * e))
     G = W @ np.bincount(ij, weights=w * a * e, minlength=W.shape[0])
-    return spec.rho * (r * r * S_r + s * s * S_s - np.multiply.outer(2.0 * G, r * s))
+    return _moment_cost(G, spec.rho, S_r, S_s, r, s)
 
 
 def _directions(K, L):
@@ -415,9 +435,20 @@ def solve_cgw(X, Y, spec=None, K=10, L=10, restarts=20, seed=0, max_rounds=200, 
     the plan, prices the LP cells by its local cost, and re-solves the moment-
     constrained LP (warm-started, since the constraints never change) until
     the energy decrease falls below tol*(1+|cost|) or max_rounds. Each round
-    starts from the basis the last round ended at; the first round of a
-    restart starts from the basis the last restart's first round ended at,
-    which is nearer its optimum than the one that restart finished at.
+    starts from the solution the last round ended at, basis inverse included;
+    the first round of a restart starts from the solution the last restart's
+    first round ended at, which is nearer its optimum than the one that restart
+    finished at. A start plan is costed from its moments: its radial second
+    moments S_r, S_s and first moments T_ij = sum_kl plan r_k s_l give both
+    its cost and the first LP's cost vector.
+
+    The solve runs on the weights divided by the power of two that brings the
+    largest weight into [1, 2); its costs and traces are multiplied back by
+    that unit squared, its plan divided by the unit and R multiplied by it.
+    GH costs scale with the square of the mass, but the LP's tolerances and
+    the decrease test are absolute, so unscaled tiny or huge masses stop
+    early or break the LP. A power of two scales exactly: scaling both weight
+    vectors by 2^k scales the cost by exactly 4^k.
 
     Everything after a round is a function of the ordered basis it ended at:
     the next cost comes from that basis's plan, the next LP starts from it,
@@ -441,8 +472,11 @@ def solve_cgw(X, Y, spec=None, K=10, L=10, restarts=20, seed=0, max_rounds=200, 
     if spec.setting != "gh":
         raise ValueError("the grid solver is wired for the GH setting")
     check_grid(K, L, restarts)
-    mu, nu = X.weights, Y.weights
-    R = math.sqrt(X.mass**2 + Y.mass**2)
+    # the LP's right-hand side is the weights: scale the largest into [1, 2)
+    unit = math.ldexp(1.0, math.frexp(max(X.weights.max(), Y.weights.max()))[1] - 1)
+    cost_unit = unit * unit  # costs scale with the square of the mass
+    mu, nu = X.weights / unit, Y.weights / unit
+    R = math.sqrt((X.mass / unit) ** 2 + (Y.mass / unit) ** 2)
     r = np.arange(K + 1) * (R / K)
     s = np.arange(L + 1) * (R / L)
     n, m = X.n, Y.n
@@ -450,48 +484,53 @@ def solve_cgw(X, Y, spec=None, K=10, L=10, restarts=20, seed=0, max_rounds=200, 
     kk, ll = _directions(K, L)  # LP columns: these cells for each (i, j)
     rk, sl, P = r[kk], s[ll], kk.size
 
-    # moment constraint rows: sum_jkl r_k^2 alpha = mu_i, sum_ikl s_l^2 alpha = nu_j
-    A_mu = np.kron(np.eye(n), np.kron(np.ones(m), rk * rk))
-    A_nu = np.kron(np.ones(n), np.kron(np.eye(m), sl * sl))
-    lp = LpProblem(np.vstack([A_mu, A_nu]), np.concatenate([mu, nu]), np.zeros(n * m * P))
+    # moment constraint rows: sum_jkl r_k^2 alpha = mu_i, sum_ikl s_l^2 alpha = nu_j;
+    # the columns of pair (i, j) hold r_k^2 in row i and s_l^2 in row n + j
+    pair_rows = np.stack(np.divmod(np.arange(n * m), m), axis=1) + [0, n]
+    lp = LpProblem.from_pairs(pair_rows, np.stack([rk * rk, sl * sl]), np.concatenate([mu, nu]),
+                              np.zeros(n * m * P))
 
     rng = np.random.default_rng(seed)
     n_prod = (restarts + 1) // 2
     best_plan = None
     log = []
-    first_basis = None  # the basis the last restart's first LP ended at
+    first_sol = None  # the solution the last restart's first LP ended at
     went_on = {}  # basis bytes -> (restart, round) that first ended a non-final round there
     for idx in range(restarts):
         kind = "product" if idx < n_prod else "permutation"
         plan = (_product_init if kind == "product" else _permutation_init)(rng, mu, nu, r, s)
         start = time.perf_counter()
-        i, j, k, l = np.nonzero(plan)
-        C = _grid_cost(W, spec, plan[i, j, k, l], i * m + j, r[k], s[l], r[:, None], s[None, :])
-        cost = float(np.vdot(C, plan))
-        c = C[:, kk, ll].ravel()
+        S_r, S_s, T = _grid_moments(plan, r, s)
+        G = W @ T
+        cost = spec.rho * (S_r * S_r + S_s * S_s - 2.0 * float(G @ T))
+        c = _moment_cost(G, spec.rho, S_r, S_s, rk, sl).ravel()
         trace = [cost]
         pivots = 0
         converged = False
         reused_from, reused_rounds = None, 0
-        basis = first_basis
+        sol = first_sol
         for rnd in range(max_rounds):
-            sol = solve_lp(lp.with_cost(c), init_basis=basis)
+            sol = solve_lp(lp.with_cost(c), init_basis=sol)
             if sol.status != "optimal":
                 raise RuntimeError("grid LP terminated " + sol.status)
             pivots += sol.iterations
-            basis = sol.basis
             if rnd == 0:
-                first_basis = basis
+                first_sol = sol
             plan = sol.x
-            nz = np.flatnonzero(plan)  # the basic cells: the moments and cost need no others
-            c = _grid_cost(W, spec, plan[nz], nz // P, rk[nz % P], sl[nz % P], rk, sl).ravel()
-            new_cost = float(c[nz] @ plan[nz])
+            if rnd and not sol.iterations:
+                # no pivot: the LP ended at its start, the last round's basis, so
+                # its plan, cost vector and cost are the last round's
+                new_cost = cost
+            else:
+                nz = np.flatnonzero(plan)  # the basic cells: the moments and cost need no others
+                c = _grid_cost(W, spec, plan[nz], nz // P, rk[nz % P], sl[nz % P], rk, sl).ravel()
+                new_cost = float(c[nz] @ plan[nz])
             trace.append(new_cost)
             improved, cost = cost - new_cost, new_cost
             if improved <= tol * (1.0 + abs(new_cost)):
                 converged = True
                 break
-            src, src_rnd = went_on.setdefault(basis.tobytes(), (idx, rnd))
+            src, src_rnd = went_on.setdefault(sol.basis.tobytes(), (idx, rnd))
             if src == idx or not log[src]["converged"]:
                 continue
             rest = log[src]["trace"][src_rnd + 2:]  # the costs of its rounds after this one
@@ -510,4 +549,8 @@ def solve_cgw(X, Y, spec=None, K=10, L=10, restarts=20, seed=0, max_rounds=200, 
         grid = np.zeros((n, m, K + 1, L + 1))
         grid[:, :, kk, ll] = best_plan.reshape(n, m, P)
         best_plan = grid
-    return CgwResult(alpha=ConicPlan.from_grid(best_plan, R), cost=best_cost, restart_log=log)
+    for entry in log:
+        entry["cost"] *= cost_unit
+        entry["trace"] = [value * cost_unit for value in entry["trace"]]
+    return CgwResult(alpha=ConicPlan.from_grid(best_plan / unit, R * unit),
+                     cost=best_cost * cost_unit, restart_log=log)

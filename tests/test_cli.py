@@ -245,6 +245,18 @@ class TestCgw:
             assert fh.readline().strip() == "i,r,j,s,mass"
 
 
+    @pytest.mark.parametrize("weight", [1e-7, 1e-11])
+    def test_tiny_masses(self, tmp_path, weight):
+        # the grid LP used to break at these masses: an infeasible LP at 1e-7,
+        # a ZeroDivisionError once phase 1 dropped every row at 1e-11
+        x_path, y_path = _space_files(tmp_path, n=2, m=2, weight=weight)
+        rc = main(["cgw", "--x", x_path, "--y", y_path, "--out", str(tmp_path)])
+        assert rc == 0
+        with open(tmp_path / "cgw_summary.json") as fh:
+            summary = json.load(fh)
+        assert 0 < summary["cost"] < 1e-12 and summary["unconverged_restarts"] == 0
+
+
 class TestFlb:
     def test_writes_outputs(self, tmp_path):
         x_path, y_path = _space_files(tmp_path, seed=4)

@@ -18,7 +18,7 @@ from ugwkit.conic import (
     up_residual,
 )
 from ugwkit.lp import LpProblem, solve_lp
-from ugwkit.measures import KL, TV, BALANCED, TransportPlan
+from ugwkit.measures import KL, TV, BALANCED, MmSpace, TransportPlan
 
 import oracles
 from conftest import random_space
@@ -475,19 +475,29 @@ class TestSolveCgw:
             np.testing.assert_allclose(entry["trace"], trace, rtol=1e-12, atol=0)
 
     @staticmethod
-    def _with_oracle(monkeypatch, X, Y, spec, max_rounds, **grid):
-        """solve_cgw's result, and the full-grid oracle's (trace, grid) per
-        restart from the same initial plans."""
+    def _recorded_inits(monkeypatch, X):
+        """The initial plan of each restart of the next solve_cgw call, in the
+        caller's units, appended to the returned list as they are drawn."""
         inits = []
 
         def recorded(make):
-            def init(*args):
-                inits.append(make(*args))
-                return inits[-1]
+            def init(rng, mu, nu, r, s):
+                plan = make(rng, mu, nu, r, s)
+                # solve_cgw draws it for the weights mu = X.weights / unit, a power
+                # of two, and the plan / unit meets X's and Y's moments
+                inits.append(plan * (mu[0] / X.weights[0]))
+                return plan
             return init
 
         monkeypatch.setattr(conic, "_product_init", recorded(conic._product_init))
         monkeypatch.setattr(conic, "_permutation_init", recorded(conic._permutation_init))
+        return inits
+
+    @classmethod
+    def _with_oracle(cls, monkeypatch, X, Y, spec, max_rounds, **grid):
+        """solve_cgw's result, and the full-grid oracle's (trace, grid) per
+        restart from the same initial plans, replayed in the caller's units."""
+        inits = cls._recorded_inits(monkeypatch, X)
         res = solve_cgw(X, Y, spec=spec, max_rounds=max_rounds, **grid)
 
         def lp_solve(A, b, c, basis):
@@ -550,6 +560,53 @@ class TestSolveCgw:
         b = np.concatenate([X.weights, Y.weights])
         for grid in [res.alpha.grid] + [grid for _, grid in ref]:
             assert np.max(np.abs(A @ grid.ravel() - b)) <= 1e-9
+
+    def test_start_costs_from_moments_match_the_dense_tensor(self, monkeypatch):
+        # a start plan's cost comes from its moments; it equals the contraction
+        # of the plan with its dense conic_local_cost tensor. The largest
+        # weight, 0.44, makes the solver's unit 1/4, so the plans are rescaled
+        rng = np.random.default_rng(22)
+        X = random_space(rng, 3, weights="random")
+        Y = random_space(rng, 4, weights="random")
+        spec = ConeMetricSpec("gh", rho=0.7)
+        inits = self._recorded_inits(monkeypatch, X)
+        res = solve_cgw(X, Y, spec=spec, K=8, L=6, restarts=6, seed=4, max_rounds=1)
+        assert [entry["init"] for entry in res.restart_log] == ["product"] * 3 + ["permutation"] * 3
+        for entry, plan in zip(res.restart_log, inits, strict=True):
+            C = conic_local_cost(ConicPlan.from_grid(plan, res.alpha.R), X.dist, Y.dist, spec)
+            assert entry["trace"][0] > 1e-3
+            np.testing.assert_allclose(entry["trace"][0], float(np.vdot(C, plan)), rtol=1e-12,
+                                       atol=0)
+
+    @pytest.mark.parametrize("k", [-40, -20, 20, 40])
+    def test_power_of_two_masses_scale_the_solve_exactly(self, k):
+        # the solver works in units where the largest weight is in [1, 2), so
+        # weights times 2^k give the same solve: cost and traces times 4^k
+        rng = np.random.default_rng(21)
+        X = random_space(rng, 4, weights="mass")
+        Y = random_space(rng, 5, weights="mass")
+        ref = solve_cgw(X, Y, K=10, L=10, restarts=6)
+        f = 2.0**k
+        res = solve_cgw(MmSpace(X.dist, X.weights * f), MmSpace(Y.dist, Y.weights * f), K=10,
+                        L=10, restarts=6)
+        assert res.cost == ref.cost * f * f
+        assert res.alpha.R == ref.alpha.R * f
+        np.testing.assert_array_equal(res.alpha.grid, ref.alpha.grid / f)
+        for entry, want in zip(res.restart_log, ref.restart_log, strict=True):
+            assert entry["trace"] == [value * f * f for value in want["trace"]]
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-4, 1e9])
+    def test_tiny_and_huge_masses_keep_the_cost(self, scale):
+        # unscaled, the LP's absolute tolerances and the decrease test broke
+        # on this pair: at 1e-6 the LP came out infeasible, and the cost read
+        # 2.2 times too high at 1e-4 and 227 times at 1e9
+        rng = np.random.default_rng(21)
+        X = random_space(rng, 4, weights="mass")
+        Y = random_space(rng, 5, weights="mass")
+        ref = solve_cgw(X, Y, K=10, L=10, restarts=6)
+        res = solve_cgw(MmSpace(X.dist, X.weights * scale), MmSpace(Y.dist, Y.weights * scale),
+                        K=10, L=10, restarts=6)
+        np.testing.assert_allclose(res.cost / scale**2, ref.cost, rtol=1e-9)
 
     @pytest.mark.parametrize("K,L", [(10, 10), (10, 7), (3, 8), (1, 1)])
     def test_directions_keep_the_last_cell_of_each_ray(self, K, L):

@@ -144,6 +144,39 @@ def test_warm_start_with_stale_basis_falls_back():
     np.testing.assert_allclose(sol.objective, best, rtol=1e-9, atol=1e-9)
 
 
+@pytest.mark.parametrize("c,status", [([1.0, 2.0, 3.0], "optimal"), ([1.0, -2.0, 3.0], "unbounded")])
+def test_every_row_dropped(c, status):
+    # phase 1 drops both all-zero rows as redundant; x = 0 is then the only
+    # vertex, and a negative cost makes the LP unbounded
+    sol = solve_lp(LpProblem(np.zeros((2, 3)), np.zeros(2), c))
+    assert sol.status == status
+    assert sol.basis.size == 0
+    if status == "optimal":
+        np.testing.assert_array_equal(sol.x, np.zeros(3))
+        np.testing.assert_array_equal(sol.y, np.zeros(2))
+        assert sol.objective == 0.0
+
+
+def test_duals_are_the_solve_on_the_final_basis():
+    # row 1 is flipped to b >= 0 and row 2, a copy of row 0, is dropped in
+    # phase 1; y is solved for on first read exactly as the eager solve did
+    A = np.array([[1.0, 1.0, 0.0, 2.0], [0.0, -1.0, -1.0, -1.0], [1.0, 1.0, 0.0, 2.0]])
+    b = np.array([2.0, -1.5, 2.0])
+    c = np.array([1.0, 2.0, 1.5, 1.0])
+    sol = solve_lp(LpProblem(A, b, c))
+    assert sol.status == "optimal" and sol.basis.size == 2
+    flip = b < 0
+    kept = [0, 1]
+    B = np.where(flip[:, None], -A, A)[kept][:, sol.basis]
+    y_act = np.linalg.solve(B.T, c[sol.basis])
+    want = np.zeros(3)
+    want[kept] = np.where(flip[kept], -y_act, y_act)
+    np.testing.assert_array_equal(sol.y, want)
+    assert sol.y is sol.y  # solved once
+    assert sol.y[1] < 0 and sol.y[2] == 0.0
+    np.testing.assert_allclose(sol.objective, float(b @ sol.y), rtol=1e-14)
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         LpProblem(np.zeros((2, 3)), np.zeros(3), np.zeros(3))
@@ -194,6 +227,52 @@ def grid_lp(n, m, K, L, seed):
     return problem
 
 
+def test_warm_start_from_a_solution_matches_one_from_its_basis():
+    # every warm LP of a solve_cgw call starts from an earlier LpSolution and
+    # takes over its basis inverse; from the bare basis indices it inverts
+    # again and must reach the same basis, point and pivot count, bit for bit
+    X, Y = grid_spaces(4, 5, seed=9)
+    calls = []
+
+    def record(problem, init_basis=None):
+        sol = solve_lp(problem, init_basis=init_basis)
+        calls.append((problem, init_basis, sol))
+        return sol
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(conic, "solve_lp", record)
+        conic.solve_cgw(X, Y, K=10, L=10, restarts=6, seed=3)
+    warm = [(p, start, sol) for p, start, sol in calls if isinstance(start, LpSolution)]
+    assert len(warm) == len(calls) - 1 and sum(sol.iterations for _, _, sol in warm) > 0
+    for problem, start, sol in warm:
+        again = solve_lp(problem, init_basis=start.basis)
+        np.testing.assert_array_equal(again.basis, sol.basis)
+        np.testing.assert_array_equal(again.x, sol.x)
+        assert again.iterations == sol.iterations
+        assert again.objective == sol.objective
+
+
+@pytest.mark.parametrize("n,m,K,L,seed", [(3, 4, 4, 4, 1), (5, 2, 10, 7, 2), (1, 3, 3, 5, 3)])
+def test_factored_grid_problem_matches_the_dense_one(n, m, K, L, seed):
+    # solve_cgw's problem holds r_k^2 in row i and s_l^2 in row n + j for the
+    # cells of pair (i, j); its dense A is the Kronecker construction, and
+    # pricing through the factors reaches the dense problem's optimum
+    prob = grid_lp(n, m, K, L, seed)
+    rows, (rk2, sl2) = prob.pairs
+    want = np.vstack([np.kron(np.eye(n), np.kron(np.ones(m), rk2)),
+                      np.kron(np.ones(n), np.kron(np.eye(m), sl2))])
+    np.testing.assert_array_equal(prob.A, want)
+    dense = LpProblem(prob.A, prob.b, prob.c)
+    assert dense.pairs is None
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        c = rng.uniform(0.5, 2.0, size=prob.c.size)
+        got, ref = solve_lp(prob.with_cost(c)), solve_lp(dense.with_cost(c))
+        assert got.status == ref.status == "optimal"
+        np.testing.assert_allclose(got.objective, ref.objective, rtol=1e-12, atol=0)
+        assert np.max(np.abs(prob.A @ got.x - prob.b)) <= 1e-9
+
+
 def full_grid_lp(X, Y, K, L, c):
     """The grid LP of solve_cgw with a column for every cell (i, j, k, l), priced by c."""
     R = math.sqrt(X.mass**2 + Y.mass**2)
@@ -207,7 +286,7 @@ def full_grid_lp(X, Y, K, L, c):
 def solve_lp_oracle(monkeypatch):
     """solve_lp with its phase kernel replaced by the solve-per-pivot loop."""
 
-    def kernel(A, b, c, basis, Binv, switch_after):
+    def kernel(A, b, c, basis, Binv, switch_after, pairs=None):
         status, it = oracles.simplex_solve_loop(A, b, c, basis, switch_after)
         Binv[...] = np.linalg.inv(A[:, basis])
         return status, it
@@ -355,7 +434,7 @@ class TestBasisInverseKernel:
             if np.linalg.matrix_rank(B) == m and np.min(np.linalg.solve(B, prob.b)) < -1e-3:
                 break
 
-        def kernel(A, b, c, basis, Binv, switch_after):
+        def kernel(A, b, c, basis, Binv, switch_after, pairs=None):
             basis[:] = bad
             return "optimal", 0
 

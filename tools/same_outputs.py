@@ -13,7 +13,9 @@ is tiny and the outer test needs an inner stop scaled to the plan mass (a
 tree without one exits 1 there); the five drivers that sweep trials again at
 eps = 1e-300, where some or all trials raise (the plan overflows) and are
 recorded as error rows; then the solver commands on small spaces written
-here with numpy. For each run the exit code, stdout, stderr and every file written are
+here with numpy, among them ``cgw`` at the conic-grid benchmark's grid and
+restarts on two 6-point spaces, and on two spaces whose weights are all
+1e-11 (a tree whose grid LP is not scaled to the mass exits 1 there). For each run the exit code, stdout, stderr and every file written are
 compared byte for byte, once the tree's own path (a warning names it) is
 replaced by <src> in stdout and stderr. One line is printed per run; the exit
 code is 1 if anything differs. Where two outputs differ only in their
@@ -76,8 +78,9 @@ FAILING = [
 
 def write_inputs(root):
     """Two small spaces, the second also as a CSV matrix with a weights file,
-    the two again with every weight 1e150 (a product plan of mass near 1e301),
-    and a cost matrix with two weight vectors; returns their paths."""
+    the two again with every weight 1e150 (a product plan of mass near 1e301)
+    and with every weight 1e-11, a cost matrix with two weight vectors, and
+    two 6-point spaces; returns their paths."""
     rng = np.random.default_rng(0)
     paths = {}
     for key, n in (("x", 4), ("y", 5)):
@@ -100,6 +103,20 @@ def write_inputs(root):
     np.savetxt(paths["cost"], rng.uniform(size=(3, 4)), delimiter=",")
     np.savetxt(paths["mu"], np.full(3, 0.4))
     np.savetxt(paths["nu"], np.full(4, 0.3))
+    for key in ("x", "y"):
+        # the first pair again with every weight 1e-11, and a 6-point space
+        # with weights of the conic-grid benchmark's range
+        with open(paths[key]) as fh:
+            space = json.load(fh)
+        paths[f"{key}_tiny"] = os.path.join(root, f"{key}_tiny.json")
+        with open(paths[f"{key}_tiny"], "w") as fh:
+            json.dump({**space, "weights": [1e-11] * len(space["weights"])}, fh)
+        pts = rng.normal(size=(6, 2))
+        dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+        paths[f"{key}6"] = os.path.join(root, f"{key}6.json")
+        with open(paths[f"{key}6"], "w") as fh:
+            json.dump({"dist": dist.tolist(), "weights": rng.uniform(0.2, 1.5, 6).tolist(),
+                       "label": f"{key}6"}, fh)
     return paths
 
 
@@ -128,6 +145,12 @@ def solver_runs(p):
         ["cgw", *pair, "--grid-k", "4", "--grid-l", "4", "--restarts", "3"],
         ["cgw", *pair, "--grid-k", "10", "--grid-l", "7", "--restarts", "4"],
         ["cgw", "--x", p["y"], "--y", p["x"], "--grid-k", "4", "--grid-l", "5", "--restarts", "4"],
+        # the conic-grid benchmark's grid and restarts, long enough for pivot
+        # paths to depend on pricing roundoff
+        ["cgw", "--x", p["x6"], "--y", p["y6"], "--grid-k", "10", "--grid-l", "10",
+         "--restarts", "20"],
+        ["cgw", "--x", p["x_tiny"], "--y", p["y_tiny"], "--grid-k", "4", "--grid-l", "4",
+         "--restarts", "4"],
         ["scale", *pair, "--rho", "0.1", "--kappas", "0.5,2"],
         ["scale", *pair, "--format", "json"],
         ["scale", "--x", p["x_heavy"], "--y", p["y_heavy"]],
