@@ -34,6 +34,7 @@ __all__ = [
     "load_weights",
     "load_matrix",
     "read_config",
+    "write_json",
     "write_table",
     "write_manifest",
     "cgw_ugw_ratio",
@@ -166,13 +167,27 @@ def read_config(path):
     return out
 
 
+def _spelled(value):
+    """``value`` with each non-finite float in it spelled "inf", "-inf" or "nan"."""
+    if isinstance(value, dict):
+        return {key: _spelled(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_spelled(item) for item in value]
+    return str(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def write_json(payload, path):
+    """Write ``payload`` as JSON, a non-finite float as the string "inf", "-inf"
+    or "nan" (the bare Infinity and NaN are not JSON); returns the path."""
+    with open(path, "w") as fh:
+        json.dump(_spelled(payload), fh, indent=1, allow_nan=False)
+    return path
+
+
 def write_table(rows, fieldnames, path_base, fmt="csv"):
     """Write dict rows as CSV or a JSON array; returns the path written."""
     if fmt == "json":
-        path = path_base + ".json"
-        with open(path, "w") as fh:
-            json.dump(rows, fh, indent=1)
-        return path
+        return write_json(rows, path_base + ".json")
     path = path_base + ".csv"
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
@@ -192,10 +207,7 @@ def write_manifest(out_dir, name, seed, config, files):
         "version": __version__,
         "files": [os.path.basename(f) for f in files],
     }
-    path = os.path.join(out_dir, f"{name}_manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=1)
-    return path
+    return write_json(manifest, os.path.join(out_dir, f"{name}_manifest.json"))
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +366,9 @@ def run_ratio_hist(
         for lo, hi, cnt in zip(edges[:-1], edges[1:], counts):
             hist_rows.append({"n": n, "bin_lo": round(lo, 4), "bin_hi": round(hi, 4),
                               "count": int(cnt)})
-        hist_rows.append({"n": n, "bin_lo": round(bins[-1], 4), "bin_hi": "inf",
+        hist_rows.append({"n": n, "bin_lo": round(bins[-1], 4), "bin_hi": math.inf,
                           "count": overflow})
-        hist_rows.append({"n": n, "bin_lo": "-inf", "bin_hi": round(bins[0], 4),
+        hist_rows.append({"n": n, "bin_lo": -math.inf, "bin_hi": round(bins[0], 4),
                           "count": underflow})
     config = {"ns": list(ns), "trials": trials, "rho": rho, "eps": eps,
               "grid_k": grid_k, "grid_l": grid_l, "restarts": restarts}
@@ -439,9 +451,6 @@ def run_graph_match(
     X = geometry.space_from_graph(g, label="graph+outliers")
     Y = geometry.space_from_graph(g_clean, label="graph")
 
-    def rho_label(rho):
-        return "inf" if math.isinf(rho) else rho
-
     def solve(eps, rho):
         sol = solve_ugw(X, Y, cfgs[eps, rho])
         plan_file = f"graph_match_plan_eps{eps:g}_rho{rho:g}.csv"
@@ -451,11 +460,11 @@ def run_graph_match(
 
     fields = ["eps", "rho", "cost_biconvex", "plan_mass", "iterations", "converged",
               "stop_reason", "damped_from", "plan_file", "error"]
-    cases = (({"eps": eps, "rho": rho_label(rho)}, eps, rho)
+    cases = (({"eps": eps, "rho": rho}, eps, rho)
              for eps in eps_grid for rho in rho_grid)
     rows, ok = _sweep(fields, cases, solve)
     config = {"n": n, "n_outliers": n_outliers, "eps_grid": list(eps_grid),
-              "rho_grid": [rho_label(r) for r in rho_grid], "max_outer": max_outer}
+              "rho_grid": list(rho_grid), "max_outer": max_outer}
     plans = [os.path.join(out_dir, row["plan_file"]) for row in rows if row["plan_file"]]
     return _publish("graph_match", out_dir, seed, fmt, config,
                     [("graph_match", rows, fields)], plans, rows=rows, converged=ok)

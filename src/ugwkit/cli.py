@@ -13,17 +13,17 @@ bool default a switch, and an unset flag keeps the default. --x and --y
 name a .json space, or a distance-matrix CSV with its weights file in
 --x-weights / --y-weights.
 
-Global flags: --seed, --out, --format, --config. A config file holds
-key=value lines mirroring the flag names (dashes or underscores); explicit
-flags win over the file. The process exits 0 only if every solve it ran
-converged, 1 otherwise, and 2 with a one-line message on bad input (an
-unreadable file or value, or parameters a solver rejects). Drivers record a
-failing trial in its row and go on.
+Global flags: --seed, --out, --format, --config, before or after the
+subcommand name (the one after it wins). A config file holds key=value lines
+mirroring the flag names (dashes or underscores); explicit flags win over
+the file. The process exits 0 only if every solve it ran converged, 1
+otherwise, and 2 with a one-line message on bad input (an unreadable file or
+value, or parameters a solver rejects). Drivers record a failing trial in
+its row and go on.
 """
 
 import argparse
 import inspect
-import json
 import math
 import os
 import sys
@@ -151,9 +151,11 @@ def _load_pair(x, y, x_weights, y_weights):
     return _load_space(x, x_weights, "x"), _load_space(y, y_weights, "y")
 
 
-def _write_json(payload, path):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
+def _sinkhorn_summary(res, **extra):
+    """The summary JSON of a uot_sinkhorn result, ``extra`` keys last."""
+    return {"plan_mass": res.plan.mass, "iterations": res.iterations,
+            "newton_steps": res.newton_steps, "converged": res.converged,
+            "residual": res.residual, **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +175,10 @@ def cmd_gen(out_dir, seed, fmt, kind, n=50, n_outliers: int = None, noise: float
     if isinstance(shape, geometry.WeightedGraph):
         path = os.path.join(out_dir, f"gen_{kind}.json")
         edges = [[int(i), int(j), float(w)] for i, j, w in shape.edges]
-        _write_json({"n": shape.n, "edges": edges, "tags": shape.tags.tolist()}, path)
+        app.write_json({"n": shape.n, "edges": edges, "tags": shape.tags.tolist()}, path)
     elif fmt == "json":
         path = os.path.join(out_dir, f"gen_{kind}.json")
-        _write_json({"points": shape.points.tolist(), "tags": shape.tags.tolist()}, path)
+        app.write_json({"points": shape.points.tolist(), "tags": shape.tags.tolist()}, path)
     else:
         path = os.path.join(out_dir, f"gen_{kind}.csv")
         np.savetxt(path, shape.points, delimiter=",")
@@ -197,12 +199,9 @@ def cmd_uot(out_dir, seed, fmt, cost, mu, nu, rho=1.0, rho2: float = None, **sin
     nu = _load(app.load_weights, nu, "weights")
     res = uot_sinkhorn(cost, mu, nu, rho, rho if rho2 is None else rho2, **sinkhorn)
     app.save_plan(res.plan, os.path.join(out_dir, "uot_plan.csv"))
-    summary = {"plan_mass": res.plan.mass, "iterations": res.iterations,
-               "newton_steps": res.newton_steps, "converged": res.converged,
-               "residual": res.residual,
-               "transport_cost": float(np.vdot(cost, res.plan.values))}
-    _write_json(summary, os.path.join(out_dir, "uot_summary.json"))
-    print(f"uot: mass={summary['plan_mass']:.6g} iterations={res.iterations} "
+    summary = _sinkhorn_summary(res, transport_cost=float(np.vdot(cost, res.plan.values)))
+    app.write_json(summary, os.path.join(out_dir, "uot_summary.json"))
+    print(f"uot: mass={res.plan.mass:.6g} iterations={res.iterations} "
           f"converged={res.converged}")
     return res.converged
 
@@ -226,7 +225,7 @@ def _run_quadratic(out_dir, name, X, Y, cfg, init, debias):
         summary["debiased"] = asdict(deb)
         ok = ok and deb.converged
     app.save_plan(sol.pi, os.path.join(out_dir, f"{name}_plan.csv"))
-    _write_json(summary, os.path.join(out_dir, f"{name}_summary.json"))
+    app.write_json(summary, os.path.join(out_dir, f"{name}_summary.json"))
     print(f"{name}: cost_biconvex={sol.cost_biconvex:.6g} mass={sol.pi.mass:.6g} "
           f"iterations={sol.outer_iterations} converged={sol.converged}")
     return ok
@@ -270,10 +269,8 @@ def cmd_flb(out_dir, seed, fmt, x, y, x_weights=None, y_weights=None, rho=1.0,
     X, Y = _load_pair(x, y, x_weights, y_weights)
     res = solve_flb(X, Y, (rho, rho if rho2 is None else rho2), **sinkhorn)
     app.save_plan(res.plan, os.path.join(out_dir, "flb_plan.csv"))
-    summary = {"plan_mass": res.plan.mass, "iterations": res.iterations,
-               "newton_steps": res.newton_steps, "converged": res.converged, "residual": res.residual}
-    _write_json(summary, os.path.join(out_dir, "flb_summary.json"))
-    print(f"flb: mass={summary['plan_mass']:.6g} converged={res.converged}")
+    app.write_json(_sinkhorn_summary(res), os.path.join(out_dir, "flb_summary.json"))
+    print(f"flb: mass={res.plan.mass:.6g} converged={res.converged}")
     return res.converged
 
 
@@ -300,7 +297,7 @@ def cmd_cgw(out_dir, seed, fmt, x, y, x_weights=None, y_weights=None, rho=1.0, g
         summary["ratio_vs_ugw"] = ratio
         summary["ugw_primal"] = sol.primal_unregularized
     app.save_atoms(res.alpha.to_atoms(), os.path.join(out_dir, "cgw_plan.csv"))
-    _write_json(summary, os.path.join(out_dir, "cgw_summary.json"))
+    app.write_json(summary, os.path.join(out_dir, "cgw_summary.json"))
     print(f"cgw: cost={res.cost:.6g} restarts={len(log)}")
     return sol.converged if with_ugw else True
 
@@ -343,12 +340,12 @@ _COMMANDS = {
 
 
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", default=None, help="global RNG seed (default 0)")
-    common.add_argument("--out", default=None, help="output directory (default .)")
-    common.add_argument("--format", default=None, help="table format, csv or json (default csv)")
-    common.add_argument("--config", default=None,
-                        help="key=value file mirroring the flag names")
+    # an unset global flag sets nothing: the value after the subcommand name wins
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--seed", help="global RNG seed (default 0)")
+    common.add_argument("--out", help="output directory (default .)")
+    common.add_argument("--format", help="table format, csv or json (default csv)")
+    common.add_argument("--config", help="key=value file mirroring the flag names")
 
     parser = argparse.ArgumentParser(prog="ugwkit", description=__doc__,
                                      parents=[common],
@@ -371,7 +368,7 @@ def _build_parser():
 def main(argv=None):
     ns = _build_parser().parse_args(argv)
     config = {}
-    if ns.config is not None:
+    if "config" in ns:
         try:
             config = app.read_config(ns.config)
         except (OSError, ValueError) as exc:

@@ -20,11 +20,12 @@ distance between ([d_X(x, x'), r r'], [d_Y(y, y'), s s']). The solver
 restricts radii to a uniform grid on [0, R], R^2 = m(mu)^2 + m(nu)^2, and
 alternates linear programs on the frozen-cost contraction, from random
 product-form and permutation-lift initializations. A frozen plan enters the
-cost only through its moments: the radial second moments S_r, S_s and the
-first moments T_ij = sum_kl plan r_k s_l, so every cost, of a start plan or
-of an LP solution, is assembled from those. The solver works in units where
-the largest weight is in [1, 2), so that its absolute tolerances mean the
-same at every mass scale.
+cost through its radial second moments S_r, S_s and its first moments
+T_ij = sum_kl plan r_k s_l. Every plan the solver costs meets the LP's moment
+rows, so S_r = m(mu) and S_s = m(nu): its cost and its next cost vector come
+from T alone (``_price``). The solver works in units where the largest
+weight is in [1, 2), so that its absolute tolerances mean the same at every
+mass scale.
 """
 
 from __future__ import annotations
@@ -291,9 +292,11 @@ def conic_local_cost(beta, DX, DY, spec):
     if beta.grid.shape[:2] != (DX.shape[0], DY.shape[0]):
         raise ValueError("grid does not match the distance matrices")
     r, s = beta.radii()
-    S_r, S_s, T = _grid_moments(beta.grid, r, s)
-    C = _moment_cost(_pair_kernel(spec, DX, DY) @ T, spec.rho, S_r, S_s, r[:, None], s[None, :])
-    return C.reshape(beta.grid.shape)
+    S_r = float(beta.grid.sum(axis=(0, 1, 3)) @ (r * r))
+    S_s = float(beta.grid.sum(axis=(0, 1, 2)) @ (s * s))
+    G = _pair_kernel(spec, DX, DY) @ _first_moments(beta.grid, r, s)
+    C = np.add.outer(r * r * S_r, s * s * S_s) - np.multiply.outer(2.0 * G, np.outer(r, s))
+    return (spec.rho * C).reshape(beta.grid.shape)
 
 
 def _pair_kernel(spec, DX, DY):
@@ -304,28 +307,21 @@ def _pair_kernel(spec, DX, DY):
     return np.exp(-_lambda(spec, base) / (2.0 * spec.rho))
 
 
-def _grid_moments(grid, r, s):
-    """A 4-way grid plan's radial second moments S_r, S_s and first moments
-    T[i m + j] = sum_kl grid_ijkl r_k s_l."""
-    S_r = float(grid.sum(axis=(0, 1, 3)) @ (r * r))
-    S_s = float(grid.sum(axis=(0, 1, 2)) @ (s * s))
-    return S_r, S_s, grid.reshape(-1, r.size, s.size) @ s @ r
+def _first_moments(grid, r, s):
+    """A 4-way grid plan's first moments T[i m + j] = sum_kl grid_ijkl r_k s_l."""
+    return grid.reshape(-1, r.size, s.size) @ s @ r
 
 
-def _moment_cost(G, rho, S_r, S_s, r, s):
-    """The frozen-plan cost rho (r^2 S_r + s^2 S_s - 2 r s G_ij) at radii (r, s),
-    one row per pair ij, from a plan's second moments S_r, S_s and G, the pair
-    kernel applied to its first moments T. The plan's own cost against it is
-    rho (S_r^2 + S_s^2 - 2 <G, T>)."""
-    return rho * (r * r * S_r + s * s * S_s - np.multiply.outer(2.0 * G, r * s))
-
-
-def _grid_cost(W, spec, w, ij, a, e, r, s):
-    """conic_local_cost's C[i m + j, cell] at the cells of radii (r, s), given the
-    pair kernel W and the plan's masses w at its cells of pair ij and radii (a, e)."""
-    S_r, S_s = float(w @ (a * a)), float(w @ (e * e))
-    G = W @ np.bincount(ij, weights=w * a * e, minlength=W.shape[0])
-    return _moment_cost(G, spec.rho, S_r, S_s, r, s)
+def _price(T, W, rho, mass_sq, rs):
+    """The cost and next LP cost vector of a plan that meets the moment rows, from
+    its first moments T. Its radial second moments are m(mu) and m(nu), so its
+    cost is rho (mass_sq - 2 <W T, T>), mass_sq = m(mu)^2 + m(nu)^2. Over that
+    cost vector, conic_local_cost's C at column (ij, p) adds rho (r_p^2 m(mu) +
+    s_p^2 m(nu)), which is z^T A for z = rho (m(mu) 1_n, m(nu) 1_m): a constant
+    on the feasible set that moves no reduced cost. rs holds r_p s_p per column.
+    """
+    G = W @ T
+    return rho * (mass_sq - 2.0 * float(G @ T)), np.multiply.outer(-2.0 * rho * G, rs).ravel()
 
 
 def _directions(K, L):
@@ -438,9 +434,10 @@ def solve_cgw(X, Y, spec=None, K=10, L=10, restarts=20, seed=0, max_rounds=200, 
     starts from the solution the last round ended at, basis inverse included;
     the first round of a restart starts from the solution the last restart's
     first round ended at, which is nearer its optimum than the one that restart
-    finished at. A start plan is costed from its moments: its radial second
-    moments S_r, S_s and first moments T_ij = sum_kl plan r_k s_l give both
-    its cost and the first LP's cost vector.
+    finished at. Every plan it costs, a start plan or an LP solution, meets
+    the moment rows, so its first moments T_ij = sum_kl plan r_k s_l alone
+    give its cost and the next LP's cost vector (``_price``). max_rounds must
+    be at least 1 and tol nonnegative, so every restart ends at an LP solution.
 
     The solve runs on the weights divided by the power of two that brings the
     largest weight into [1, 2); its costs and traces are multiplied back by
@@ -472,17 +469,23 @@ def solve_cgw(X, Y, spec=None, K=10, L=10, restarts=20, seed=0, max_rounds=200, 
     if spec.setting != "gh":
         raise ValueError("the grid solver is wired for the GH setting")
     check_grid(K, L, restarts)
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be at least 1")
+    if not tol >= 0:
+        raise ValueError("tol must be nonnegative")
     # the LP's right-hand side is the weights: scale the largest into [1, 2)
     unit = math.ldexp(1.0, math.frexp(max(X.weights.max(), Y.weights.max()))[1] - 1)
     cost_unit = unit * unit  # costs scale with the square of the mass
     mu, nu = X.weights / unit, Y.weights / unit
-    R = math.sqrt((X.mass / unit) ** 2 + (Y.mass / unit) ** 2)
+    mass_sq = (X.mass / unit) ** 2 + (Y.mass / unit) ** 2
+    R = math.sqrt(mass_sq)
     r = np.arange(K + 1) * (R / K)
     s = np.arange(L + 1) * (R / L)
     n, m = X.n, Y.n
     W = _pair_kernel(spec, X.dist, Y.dist)
     kk, ll = _directions(K, L)  # LP columns: these cells for each (i, j)
     rk, sl, P = r[kk], s[ll], kk.size
+    rs = rk * sl
 
     # moment constraint rows: sum_jkl r_k^2 alpha = mu_i, sum_ikl s_l^2 alpha = nu_j;
     # the columns of pair (i, j) hold r_k^2 in row i and s_l^2 in row n + j
@@ -500,10 +503,7 @@ def solve_cgw(X, Y, spec=None, K=10, L=10, restarts=20, seed=0, max_rounds=200, 
         kind = "product" if idx < n_prod else "permutation"
         plan = (_product_init if kind == "product" else _permutation_init)(rng, mu, nu, r, s)
         start = time.perf_counter()
-        S_r, S_s, T = _grid_moments(plan, r, s)
-        G = W @ T
-        cost = spec.rho * (S_r * S_r + S_s * S_s - 2.0 * float(G @ T))
-        c = _moment_cost(G, spec.rho, S_r, S_s, rk, sl).ravel()
+        cost, c = _price(_first_moments(plan, r, s), W, spec.rho, mass_sq, rs)
         trace = [cost]
         pivots = 0
         converged = False
@@ -522,9 +522,7 @@ def solve_cgw(X, Y, spec=None, K=10, L=10, restarts=20, seed=0, max_rounds=200, 
                 # its plan, cost vector and cost are the last round's
                 new_cost = cost
             else:
-                nz = np.flatnonzero(plan)  # the basic cells: the moments and cost need no others
-                c = _grid_cost(W, spec, plan[nz], nz // P, rk[nz % P], sl[nz % P], rk, sl).ravel()
-                new_cost = float(c[nz] @ plan[nz])
+                new_cost, c = _price(plan.reshape(n * m, P) @ rs, W, spec.rho, mass_sq, rs)
             trace.append(new_cost)
             improved, cost = cost - new_cost, new_cost
             if improved <= tol * (1.0 + abs(new_cost)):
@@ -545,12 +543,10 @@ def solve_cgw(X, Y, spec=None, K=10, L=10, restarts=20, seed=0, max_rounds=200, 
                     "reused_rounds": reused_rounds})
         if best_plan is None or cost < best_cost:
             best_cost, best_plan = cost, plan
-    if best_plan.ndim == 1:  # an LP solution on the kept cells
-        grid = np.zeros((n, m, K + 1, L + 1))
-        grid[:, :, kk, ll] = best_plan.reshape(n, m, P)
-        best_plan = grid
+    grid = np.zeros((n, m, K + 1, L + 1))  # the best LP solution, on the kept cells
+    grid[:, :, kk, ll] = best_plan.reshape(n, m, P)
     for entry in log:
         entry["cost"] *= cost_unit
         entry["trace"] = [value * cost_unit for value in entry["trace"]]
-    return CgwResult(alpha=ConicPlan.from_grid(best_plan / unit, R * unit),
+    return CgwResult(alpha=ConicPlan.from_grid(grid / unit, R * unit),
                      cost=best_cost * cost_unit, restart_log=log)

@@ -171,13 +171,6 @@ ARMIJO = 1e-4
 RIDGE = 1e-12
 
 
-def _rate(window):
-    # observed residual ratio per sweep over a window; NaN when it starts at 0
-    if not window[0] > 0.0:
-        return math.nan
-    return (window[-1] / window[0]) ** (1.0 / (len(window) - 1))
-
-
 def _lse_rows(kernel, shift, buf, top=None):
     # log sum_j exp(kernel_ij + shift_j) per row, max-shifted; leaves the row
     # max in top and exp(kernel_ij + shift_j - top_i) in buf
@@ -312,7 +305,9 @@ def _alternating(k_row, k_col, log_mu, mu, nu, f, g, eps, rho1, rho2, tol_pot, m
             continue
         window.append(residual)
         if len(window) == WARMUP:
-            newton = _rate(window) > NEWTON_RATE
+            # the observed residual ratio per sweep; each residual in the window
+            # failed the stop test, so it exceeds tol_pot >= 0
+            newton = (window[-1] / window[0]) ** (1.0 / (WARMUP - 1)) > NEWTON_RATE
             window = []
     return f, g, it, steps, converged, residual, newton
 
@@ -391,6 +386,8 @@ def uot_sinkhorn(
         raise ValueError("rho must be nonnegative")
     if not max_inner >= 1:
         raise ValueError("max_inner must be at least 1")
+    if not tol_pot >= 0:  # 0 is legal: solve_ugw's derived stop can underflow to it
+        raise ValueError("tol_pot must be nonnegative")
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost must be finite")
     if not all(np.all(np.isfinite(w)) and np.all(w > 0) for w in (mu, nu)):

@@ -21,6 +21,7 @@ from ugwkit.app import (
     save_space,
     space_from_dict,
     space_to_dict,
+    write_json,
     write_table,
 )
 from ugwkit.measures import MmSpace, TransportPlan
@@ -146,6 +147,14 @@ class TestSerialization:
         assert json_path.endswith(".json")
         with open(json_path) as fh:
             assert json.load(fh) == rows
+
+
+    def test_write_json_spells_non_finite_floats(self, tmp_path):
+        payload = {"a": [math.inf, -math.inf, math.nan, 1.5], "b": (1, {"c": np.float64(math.inf)})}
+        path = write_json(payload, str(tmp_path / "p.json"))
+        with open(path) as fh:
+            got = json.loads(fh.read(), parse_constant=lambda name: pytest.fail(name))
+        assert got == {"a": ["inf", "-inf", "nan", 1.5], "b": [1, {"c": "inf"}]}
 
 
 class TestRatio:

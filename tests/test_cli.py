@@ -324,6 +324,21 @@ class TestDrivers:
         with open(tmp_path / "pu_manifest.json") as fh:
             assert json.load(fh)["config"]["max_outer"] == 5
 
+    def test_infinite_rho_writes_valid_json(self, tmp_path):
+        # rho = inf is written as the string "inf": a bare Infinity is not JSON
+        rc = main(["moons", "--n", "8", "--n-outliers", "2", "--rhos", "inf", "--seeds", "0",
+                   "--max-outer", "5", "--format", "json", "--out", str(tmp_path)])
+        assert rc in (0, 1)
+
+        def refuse(name):
+            raise ValueError(f"not JSON: {name}")
+
+        rows = json.loads((tmp_path / "moons.json").read_text(), parse_constant=refuse)
+        manifest = json.loads((tmp_path / "moons_manifest.json").read_text(),
+                              parse_constant=refuse)
+        assert [row["rho"] for row in rows] == ["inf"]
+        assert manifest["config"]["rhos"] == ["inf"]
+
     def test_perturb_inf_free_ts(self, tmp_path):
         rc = main(["perturb", "--n", "3", "--ts", "0.0,0.001", "--restarts", "4",
                    "--grid-k", "5", "--grid-l", "5", "--out", str(tmp_path)])
@@ -386,6 +401,9 @@ class TestBadInput:
         ("ugw", ["--x", "dict_weights.json"], "cannot load space from dict_weights.json"),
         ("ugw", ["--x", "dict_dist.json"], "cannot load space from dict_dist.json"),
         ("graph-match", ["--n", "1"], "need at least 2 community nodes"),
+        ("uot", ["--tol-pot", "-1"], "tol_pot must be nonnegative"),
+        ("uot", ["--tol-pot", "nan"], "tol_pot must be nonnegative"),
+        ("flb", ["--tol-pot", "-1"], "tol_pot must be nonnegative"),
     ])
     def test_exits_2_with_one_line(self, command, argv, message, tmp_path, capsys, monkeypatch):
         x_path, y_path = _space_files(tmp_path)
@@ -458,6 +476,34 @@ class TestParser:
             main(["--version"])
         assert exc.value.code == 0
         assert "ugwkit" in capsys.readouterr().out
+
+    def test_global_flags_before_the_subcommand_take_effect(self, tmp_path):
+        # each global flag counts before the subcommand name as it does after it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kind = square\nn = 5\n")
+        lead, trail, plain = tmp_path / "lead", tmp_path / "trail", tmp_path / "plain"
+        assert main(["--seed", "7", "--out", str(lead), "--format", "json",
+                     "--config", str(cfg), "gen"]) == 0
+        assert main(["gen", "--seed", "7", "--out", str(trail), "--format", "json",
+                     "--config", str(cfg)]) == 0
+        assert main(["gen", "--out", str(plain), "--format", "json", "--config", str(cfg)]) == 0
+        text = (lead / "gen_square.json").read_text()
+        assert text == (trail / "gen_square.json").read_text()
+        assert text != (plain / "gen_square.json").read_text()  # seed 7, not 0
+
+    def test_a_global_flag_after_the_subcommand_wins(self, tmp_path):
+        first, second = tmp_path / "first.cfg", tmp_path / "second.cfg"
+        first.write_text("kind = ellipse2d\n")
+        second.write_text("kind = square\nn = 5\n")
+        argv = ["--seed", "1", "--out", str(tmp_path / "a"), "--format", "csv",
+                "--config", str(first), "gen", "--seed", "7", "--out", str(tmp_path / "b"),
+                "--format", "json", "--config", str(second)]
+        assert main(argv) == 0
+        assert not (tmp_path / "a").exists()
+        assert main(["gen", "--seed", "7", "--out", str(tmp_path / "c"), "--format", "json",
+                     "--config", str(second)]) == 0
+        assert ((tmp_path / "b" / "gen_square.json").read_text()
+                == (tmp_path / "c" / "gen_square.json").read_text())
 
 
 # Each driver subcommand with every flag it accepts: (flag, text, expected

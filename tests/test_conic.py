@@ -578,6 +578,83 @@ class TestSolveCgw:
             np.testing.assert_allclose(entry["trace"][0], float(np.vdot(C, plan)), rtol=1e-12,
                                        atol=0)
 
+    def test_first_moments_price_the_plan_as_the_dense_tensor(self, monkeypatch):
+        # every plan the solver prices meets the moment rows, so its first moments
+        # alone give its cost and its LP cost vector; the cost vector misses C at
+        # the kept cells by rho (r_p^2 m(mu) + s_p^2 m(nu)), which is constant on
+        # the feasible set
+        rng = np.random.default_rng(23)
+        X = random_space(rng, 4, weights="mass")
+        Y = random_space(rng, 5, weights="mass")
+        spec = ConeMetricSpec("gh", rho=0.8)
+        starts, solutions = [], []
+
+        def recorded(make):
+            def init(rng, mu, nu, r, s):
+                starts.append((make(rng, mu, nu, r, s), mu, nu, r, s))
+                return starts[-1][0]
+            return init
+
+        def lp(problem, init_basis=None):
+            solutions.append(solve_lp(problem, init_basis=init_basis))
+            return solutions[-1]
+
+        monkeypatch.setattr(conic, "_product_init", recorded(conic._product_init))
+        monkeypatch.setattr(conic, "_permutation_init", recorded(conic._permutation_init))
+        monkeypatch.setattr(conic, "solve_lp", lp)
+        solve_cgw(X, Y, spec=spec, K=10, L=10, restarts=2, seed=3)
+        (product, mu, nu, r, s), (permutation, *_) = starts
+        n, m = mu.size, nu.size
+        kk, ll = conic._directions(10, 10)
+        rk, sl = r[kk], s[ll]
+        solution = np.zeros((n, m, 11, 11))
+        solution[:, :, kk, ll] = solutions[-1].x.reshape(n, m, kk.size)
+        W = conic._pair_kernel(spec, X.dist, Y.dist)
+        mass_sq = mu.sum() ** 2 + nu.sum() ** 2
+        shift = spec.rho * (rk * rk * mu.sum() + sl * sl * nu.sum())
+        for plan in (product, permutation, solution):
+            T = conic._first_moments(plan, r, s)
+            cost, c = conic._price(T, W, spec.rho, mass_sq, rk * sl)
+            C = conic_local_cost(ConicPlan.from_grid(plan, math.sqrt(mass_sq)), X.dist, Y.dist,
+                                 spec)
+            np.testing.assert_allclose(c.reshape(n * m, -1) + shift,
+                                       C[:, :, kk, ll].reshape(n * m, -1), rtol=1e-12, atol=0)
+            assert cost > 1e-3
+            np.testing.assert_allclose(cost, float(np.vdot(C, plan)), rtol=1e-12, atol=0)
+
+    def test_product_starts_price_one_lp_up_to_scale(self, monkeypatch):
+        # a product start mu_i nu_j u_k v_l has first moments kappa (mu x nu) with
+        # kappa = (u . r)(v . s) > 0, so the first LPs of all product restarts
+        # have one cost vector up to a positive factor: each after the first
+        # starts at the optimum of the one before and takes no pivot
+        rng = np.random.default_rng(24)
+        X = random_space(rng, 4, weights="mass")
+        Y = random_space(rng, 5, weights="mass")
+        first = []
+        pending = []
+
+        def marked(rng, mu, nu, r, s):
+            pending.append(True)
+            return product_init(rng, mu, nu, r, s)
+
+        def lp(problem, init_basis=None):
+            sol = solve_lp(problem, init_basis=init_basis)
+            if pending:
+                first.append((problem.c, sol.iterations))
+                pending.clear()
+            return sol
+
+        product_init = conic._product_init
+        monkeypatch.setattr(conic, "_product_init", marked)
+        monkeypatch.setattr(conic, "solve_lp", lp)
+        solve_cgw(X, Y, K=10, L=10, restarts=8, seed=5)
+        assert len(first) == 4
+        c0 = first[0][0]
+        for c, pivots in first[1:]:
+            scale = float(c @ c0) / float(c0 @ c0)
+            assert scale > 0 and pivots == 0
+            np.testing.assert_allclose(c, scale * c0, rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("k", [-40, -20, 20, 40])
     def test_power_of_two_masses_scale_the_solve_exactly(self, k):
         # the solver works in units where the largest weight is in [1, 2), so
@@ -629,3 +706,10 @@ class TestSolveCgw:
             solve_cgw(X, X, K=0)
         with pytest.raises(ValueError, match="restarts must be at least 1"):
             solve_cgw(X, X, restarts=0)
+        # max_rounds = 0 returned an unsolved start plan, and a NaN or negative
+        # tol ran every restart to max_rounds
+        with pytest.raises(ValueError, match="max_rounds must be at least 1"):
+            solve_cgw(X, X, max_rounds=0)
+        for tol in (math.nan, -1.0):
+            with pytest.raises(ValueError, match="tol must be nonnegative"):
+                solve_cgw(X, X, tol=tol)

@@ -141,6 +141,17 @@ class TestUotSinkhorn:
             uot_sinkhorn(np.array([[np.inf, 0.0], [0.0, 0.0]]), mu, mu, 1.0, eps=0.1)
         with pytest.raises(ValueError, match="marginal sizes do not match the cost matrix"):
             uot_sinkhorn(np.zeros((2, 3)), mu, mu, 1.0, eps=0.1)
+        # such a stop passed only through the float-resolution clause
+        for tol_pot in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="tol_pot must be nonnegative"):
+                uot_sinkhorn(c, mu, mu, 1.0, eps=0.1, tol_pot=tol_pot)
+
+    def test_zero_tol_pot_is_legal(self):
+        # solve_ugw's derived inner stop can underflow to 0
+        rng = np.random.default_rng(6)
+        res = uot_sinkhorn(rng.uniform(size=(3, 4)), np.full(3, 0.3), np.full(4, 0.2), 1.0,
+                           eps=0.1, tol_pot=0.0)
+        assert res.converged
 
     def test_rho2_defaults_to_rho1(self):
         rng = np.random.default_rng(5)
