@@ -483,8 +483,10 @@ def run_scale_bias(
 
     The instance's distance matrices are normalized so the product plan's
     distortion hits b_target, which puts the theta crossover near kappa = 1
-    for the default rho.
+    for the default rho; b_target = 0 leaves them as drawn.
     """
+    if not 0 <= b_target < math.inf:
+        raise ValueError("b_target must be nonnegative and finite")
     rng = np.random.default_rng(seed)
     X, Y = _random_pair(rng, n)
     pi = np.outer(X.weights, Y.weights)

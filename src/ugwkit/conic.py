@@ -23,9 +23,9 @@ product-form and permutation-lift initializations. A frozen plan enters the
 cost through its radial second moments S_r, S_s and its first moments
 T_ij = sum_kl plan r_k s_l. Every plan the solver costs meets the LP's moment
 rows, so S_r = m(mu) and S_s = m(nu): its cost and its next cost vector come
-from T alone (``_price``). The solver works in units where the largest
-weight is in [1, 2), so that its absolute tolerances mean the same at every
-mass scale.
+from T alone (``conic_local_cost``). The solver works in units where the
+largest weight is in [1, 2), so that its absolute tolerances mean the same at
+every mass scale.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ __all__ = [
     "dilate",
     "conic_lift",
     "conic_energy",
-    "conic_local_cost",
     "up_residual",
     "solve_cgw",
 ]
@@ -131,24 +130,25 @@ class ConicPlan:
     """A measure on the product of two cones, in grid or atom form.
 
     Grid form: tensor ``grid[i, j, k, l]`` over base pairs and radius indices
-    with radii r_k = k R / K, s_l = l R / L. Atom form: rows
+    with radii r_k = k R / K, s_l = l R / L, where K + 1 >= 2 and L + 1 >= 2
+    are the lengths of its radius axes. Atom form: rows
     (i, r, j, s, mass) with index -1 marking the apex (radius 0).
     """
 
     R: float
     grid: np.ndarray = None
     atoms: np.ndarray = None
-    K: int = None
-    L: int = None
 
     @classmethod
     def from_grid(cls, grid, R):
         grid = np.asarray(grid, dtype=float)
         if grid.ndim != 4:
             raise ValueError("grid form is a 4-way tensor")
+        if min(grid.shape[2:]) < 2:
+            raise ValueError("each radius axis needs at least 2 points")
         if np.any(grid < 0):
             raise ValueError("plan masses must be nonnegative")
-        return cls(R=float(R), grid=grid, K=grid.shape[2] - 1, L=grid.shape[3] - 1)
+        return cls(R=float(R), grid=grid)
 
     @classmethod
     def from_atoms(cls, atoms, R=None):
@@ -172,9 +172,8 @@ class ConicPlan:
     def radii(self):
         if self.grid is None:
             raise ValueError("radii grids exist only in grid form")
-        r = np.arange(self.K + 1) * (self.R / self.K)
-        s = np.arange(self.L + 1) * (self.R / self.L)
-        return r, s
+        K, L = self.grid.shape[2] - 1, self.grid.shape[3] - 1
+        return np.arange(K + 1) * (self.R / K), np.arange(L + 1) * (self.R / L)
 
     def to_atoms(self):
         """Atom-form view: one row per charged grid cell (or the atoms as-is)."""
@@ -276,29 +275,6 @@ def conic_energy(alpha, DX, DY, spec, block=1024):
     return total
 
 
-def conic_local_cost(beta, DX, DY, spec):
-    """Frozen-plan cost tensor C[i,j,k,l] of the grid matching problem.
-
-    C = rho (r_k^2 S_r + s_l^2 S_s) - 2 rho r_k s_l G_ij with S_r, S_s the
-    radial second moments of beta, G = kernel-contraction of the first
-    moments T_ij = sum_kl r_k s_l beta_ijkl. Requires a KL (p = 2) setting.
-    """
-    if spec.entropy.kind != "kl":
-        raise ValueError("the grid cost is wired for the KL (p=2) settings")
-    if beta.grid is None:
-        raise ValueError("beta must be in grid form")
-    DX = np.asarray(DX, dtype=float)
-    DY = np.asarray(DY, dtype=float)
-    if beta.grid.shape[:2] != (DX.shape[0], DY.shape[0]):
-        raise ValueError("grid does not match the distance matrices")
-    r, s = beta.radii()
-    S_r = float(beta.grid.sum(axis=(0, 1, 3)) @ (r * r))
-    S_s = float(beta.grid.sum(axis=(0, 1, 2)) @ (s * s))
-    G = _pair_kernel(spec, DX, DY) @ _first_moments(beta.grid, r, s)
-    C = np.add.outer(r * r * S_r, s * s * S_s) - np.multiply.outer(2.0 * G, np.outer(r, s))
-    return (spec.rho * C).reshape(beta.grid.shape)
-
-
 def _pair_kernel(spec, DX, DY):
     """Kernel exp(-lambda / (2 rho)) of the pair base distances |DX_ii' - DY_jj'|,
     an (nm x nm) matrix; a KL setting's cone cost is rho (r^2 + s^2 - 2 r s kernel)."""
@@ -312,13 +288,15 @@ def _first_moments(grid, r, s):
     return grid.reshape(-1, r.size, s.size) @ s @ r
 
 
-def _price(T, W, rho, mass_sq, rs):
-    """The cost and next LP cost vector of a plan that meets the moment rows, from
-    its first moments T. Its radial second moments are m(mu) and m(nu), so its
-    cost is rho (mass_sq - 2 <W T, T>), mass_sq = m(mu)^2 + m(nu)^2. Over that
-    cost vector, conic_local_cost's C at column (ij, p) adds rho (r_p^2 m(mu) +
-    s_p^2 m(nu)), which is z^T A for z = rho (m(mu) 1_n, m(nu) 1_m): a constant
-    on the feasible set that moves no reduced cost. rs holds r_p s_p per column.
+def conic_local_cost(T, W, rho, mass_sq, rs):
+    """The cost and next LP cost vector of a grid plan that meets the moment
+    rows, from its first moments T and the pair kernel W. Its radial second
+    moments are m(mu) and m(nu), so its cost is rho (mass_sq - 2 <W T, T>),
+    mass_sq = m(mu)^2 + m(nu)^2. Over that cost vector, the dense frozen-plan
+    tensor C = rho (r_k^2 S_r + s_l^2 S_s - 2 r_k s_l (W T)_ij) adds
+    rho (r_p^2 m(mu) + s_p^2 m(nu)) at column (ij, p), which is z^T A for
+    z = rho (m(mu) 1_n, m(nu) 1_m): a constant on the feasible set that moves
+    no reduced cost. rs holds r_p s_p per column.
     """
     G = W @ T
     return rho * (mass_sq - 2.0 * float(G @ T)), np.multiply.outer(-2.0 * rho * G, rs).ravel()
@@ -436,8 +414,9 @@ def solve_cgw(X, Y, spec=None, K=10, L=10, restarts=20, seed=0, max_rounds=200, 
     first round ended at, which is nearer its optimum than the one that restart
     finished at. Every plan it costs, a start plan or an LP solution, meets
     the moment rows, so its first moments T_ij = sum_kl plan r_k s_l alone
-    give its cost and the next LP's cost vector (``_price``). max_rounds must
-    be at least 1 and tol nonnegative, so every restart ends at an LP solution.
+    give its cost and the next LP's cost vector (``conic_local_cost``).
+    max_rounds must be at least 1 and tol nonnegative, so every restart ends
+    at an LP solution.
 
     The solve runs on the weights divided by the power of two that brings the
     largest weight into [1, 2); its costs and traces are multiplied back by
@@ -503,7 +482,7 @@ def solve_cgw(X, Y, spec=None, K=10, L=10, restarts=20, seed=0, max_rounds=200, 
         kind = "product" if idx < n_prod else "permutation"
         plan = (_product_init if kind == "product" else _permutation_init)(rng, mu, nu, r, s)
         start = time.perf_counter()
-        cost, c = _price(_first_moments(plan, r, s), W, spec.rho, mass_sq, rs)
+        cost, c = conic_local_cost(_first_moments(plan, r, s), W, spec.rho, mass_sq, rs)
         trace = [cost]
         pivots = 0
         converged = False
@@ -517,12 +496,7 @@ def solve_cgw(X, Y, spec=None, K=10, L=10, restarts=20, seed=0, max_rounds=200, 
             if rnd == 0:
                 first_sol = sol
             plan = sol.x
-            if rnd and not sol.iterations:
-                # no pivot: the LP ended at its start, the last round's basis, so
-                # its plan, cost vector and cost are the last round's
-                new_cost = cost
-            else:
-                new_cost, c = _price(plan.reshape(n * m, P) @ rs, W, spec.rho, mass_sq, rs)
+            new_cost, c = conic_local_cost(plan.reshape(n * m, P) @ rs, W, spec.rho, mass_sq, rs)
             trace.append(new_cost)
             improved, cost = cost - new_cost, new_cost
             if improved <= tol * (1.0 + abs(new_cost)):

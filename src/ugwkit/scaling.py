@@ -119,8 +119,8 @@ def optimal_scale_quadratic(X, Y, pi, rho, eps=0.0, details=False):
     theta = exp(-(2A + B) / (2B)) is the global minimum. details=True adds
     that derivative at the returned theta as "foc_residual".
     """
-    if not rho > 0:
-        raise ValueError("rho must be positive")
+    if not 0 < rho < math.inf:
+        raise ValueError("rho must be positive and finite")
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     P, m = _unit_plan(pi)
@@ -152,8 +152,8 @@ def optimal_scale_linear(X, Y, pi, rho, details=False):
     moves left. A root past the float range, in theta or in the rescaled mass
     theta m(pi), is a ValueError.
     """
-    if not rho > 0:
-        raise ValueError("rho must be positive")
+    if not 0 < rho < math.inf:
+        raise ValueError("rho must be positive and finite")
     P, m = _unit_plan(pi)
     a, b, c = _linear_foc_terms(X, Y, P, rho)
     u = -c / a

@@ -382,6 +382,38 @@ def conic_energy_loop(atoms, DX, DY, spec_setting, rho, q=2.0):
     return total
 
 
+def conic_local_cost(beta, DX, DY, spec):
+    """Frozen-plan cost tensor C[i,j,k,l] of the grid matching problem, dense.
+
+    C = rho (r_k^2 S_r + s_l^2 S_s) - 2 rho r_k s_l G_ij with S_r, S_s the
+    radial second moments of beta, G = kernel-contraction of the first
+    moments T_ij = sum_kl r_k s_l beta_ijkl; the kernel of base distance t is
+    exp(-lambda(t) / (2 rho)). Requires a KL (p = 2) setting.
+    """
+    if spec.setting not in ("gh", "hk"):
+        raise ValueError("the grid cost is wired for the KL (p=2) settings")
+    if beta.grid is None:
+        raise ValueError("beta must be in grid form")
+    DX = np.asarray(DX, dtype=float)
+    DY = np.asarray(DY, dtype=float)
+    n, m = DX.shape[0], DY.shape[0]
+    if beta.grid.shape[:2] != (n, m):
+        raise ValueError("grid does not match the distance matrices")
+    K, L = beta.grid.shape[2] - 1, beta.grid.shape[3] - 1
+    r, s = np.arange(K + 1) * (beta.R / K), np.arange(L + 1) * (beta.R / L)
+    S_r = float(beta.grid.sum(axis=(0, 1, 3)) @ (r * r))
+    S_s = float(beta.grid.sum(axis=(0, 1, 2)) @ (s * s))
+    base = np.abs(DX[:, None, :, None] - DY[None, :, None, :]).reshape(n * m, n * m)
+    if spec.setting == "gh":
+        lam = base * base
+    else:  # hk
+        lam = -2.0 * np.log(np.cos(np.minimum(base, math.pi / 2.0)))
+    T = beta.grid.reshape(-1, r.size, s.size) @ s @ r
+    G = np.exp(-lam / (2.0 * spec.rho)) @ T
+    C = np.add.outer(r * r * S_r, s * s * S_s) - np.multiply.outer(2.0 * G, np.outer(r, s))
+    return (spec.rho * C).reshape(beta.grid.shape)
+
+
 def grid_moment_rows(mu, nu, r, s):
     """Moment constraint matrix of the grid LP over every cell (i, j, k, l).
 

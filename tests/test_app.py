@@ -264,6 +264,18 @@ class TestRunScaleBias:
         assert rows[2.0]["theta_gap"] > 0 and rows[4.0]["theta_gap"] > 0
 
 
+    def test_b_target_must_be_nonnegative_and_finite(self, tmp_path):
+        # -1 scaled every distance by the real part of a complex factor, about
+        # 1e-16, and wrote a table; the driver now refuses before solving
+        for b_target in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="b_target must be nonnegative and finite"):
+                run_scale_bias(out_dir=str(tmp_path), seed=0, n=4, b_target=b_target)
+        assert os.listdir(tmp_path) == []
+        # 0 stays legal: the drawn distances are kept as they are
+        out = run_scale_bias(out_dir=str(tmp_path), seed=0, n=4, kappas=(1.0,), b_target=0.0)
+        assert math.isfinite(out["rows"][0]["theta_quadratic"])
+
+
 class TestRunPu:
     def test_smoke(self, tmp_path):
         out = run_pu(out_dir=str(tmp_path), seed=0, folds=1, n_pos=6,

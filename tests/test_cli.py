@@ -404,6 +404,9 @@ class TestBadInput:
         ("uot", ["--tol-pot", "-1"], "tol_pot must be nonnegative"),
         ("uot", ["--tol-pot", "nan"], "tol_pot must be nonnegative"),
         ("flb", ["--tol-pot", "-1"], "tol_pot must be nonnegative"),
+        ("scale", ["--rho", "inf"], "rho must be positive and finite"),
+        ("scale-bias", ["--rho", "inf"], "rho must be positive and finite"),
+        ("scale-bias", ["--b-target=-1"], "b_target must be nonnegative and finite"),
     ])
     def test_exits_2_with_one_line(self, command, argv, message, tmp_path, capsys, monkeypatch):
         x_path, y_path = _space_files(tmp_path)

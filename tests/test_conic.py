@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from ugwkit.conic import (
     cone_cost,
     conic_energy,
     conic_lift,
-    conic_local_cost,
     dilate,
     perspective_H,
     solve_cgw,
@@ -192,6 +192,24 @@ class TestConicPlan:
         plan = ConicPlan.from_atoms([[0.0, 1.5, 0.0, 0.8, 1.0]])
         assert plan.R == 1.5
 
+    def test_radii_read_the_grid_shape(self):
+        # the radius counts come from the grid itself, so a plan built without
+        # from_grid has radii, and a replaced grid brings its own
+        plan = ConicPlan(R=6.0, grid=np.zeros((2, 2, 4, 3)))
+        r, s = plan.radii()
+        np.testing.assert_allclose(r, [0.0, 2.0, 4.0, 6.0])
+        np.testing.assert_allclose(s, [0.0, 3.0, 6.0])
+        wider = dataclasses.replace(plan, grid=np.zeros((2, 2, 3, 7)))
+        r, s = wider.radii()
+        np.testing.assert_allclose(r, [0.0, 3.0, 6.0])
+        np.testing.assert_allclose(s, np.arange(7.0))
+
+    @pytest.mark.parametrize("shape", [(2, 2, 1, 3), (2, 2, 3, 1), (1, 1, 1, 1)])
+    def test_single_point_radius_axis_rejected(self, shape):
+        # a radius axis of one point has no grid step
+        with pytest.raises(ValueError, match="at least 2 points"):
+            ConicPlan.from_grid(np.ones(shape), R=1.0)
+
 
 class TestConicEnergy:
     def random_atoms(self, rng, n, m, k=6, with_apex=True):
@@ -345,7 +363,7 @@ class TestConicLocalCost:
         Y = random_space(rng, 2, weights="mass")
         grid = rng.uniform(0.0, 0.4, size=(3, 2, 4, 5))
         beta = ConicPlan.from_grid(grid, R=2.0)
-        C = conic_local_cost(beta, X.dist, Y.dist, spec)
+        C = oracles.conic_local_cost(beta, X.dist, Y.dist, spec)
         np.testing.assert_allclose(
             float(np.vdot(C, beta.grid)),
             conic_energy(beta, X.dist, Y.dist, spec),
@@ -358,12 +376,12 @@ class TestConicLocalCost:
         Y = random_space(rng, 2)
         beta = ConicPlan.from_grid(np.zeros((2, 2, 2, 2)), R=1.0)
         with pytest.raises(ValueError):
-            conic_local_cost(beta, X.dist, Y.dist, ConeMetricSpec("ptv"))
+            oracles.conic_local_cost(beta, X.dist, Y.dist, ConeMetricSpec("ptv"))
         atom_form = ConicPlan.from_atoms([[0.0, 1.0, 0.0, 1.0, 0.5]])
         with pytest.raises(ValueError):
-            conic_local_cost(atom_form, X.dist, Y.dist, ConeMetricSpec("gh"))
+            oracles.conic_local_cost(atom_form, X.dist, Y.dist, ConeMetricSpec("gh"))
         with pytest.raises(ValueError):
-            conic_local_cost(
+            oracles.conic_local_cost(
                 ConicPlan.from_grid(np.zeros((3, 2, 2, 2)), R=1.0),
                 X.dist,
                 Y.dist,
@@ -506,7 +524,8 @@ class TestSolveCgw:
             return sol.x, sol.basis
 
         def local_cost(grid):
-            return conic_local_cost(ConicPlan.from_grid(grid, res.alpha.R), X.dist, Y.dist, spec)
+            return oracles.conic_local_cost(ConicPlan.from_grid(grid, res.alpha.R), X.dist, Y.dist,
+                                            spec)
 
         r, s = res.alpha.radii()
         return res, oracles.cgw_full_grid_loop(X.weights, Y.weights, r, s, inits, local_cost,
@@ -542,7 +561,7 @@ class TestSolveCgw:
     def test_matches_full_grid_oracle(self, monkeypatch, n, m, K, L, seed):
         # the solver's LP keeps one cell per radial direction and assembles
         # its costs from the basic cells; the oracle keeps every cell and
-        # prices the LP with the dense conic_local_cost tensor
+        # prices the LP with the dense oracles.conic_local_cost tensor
         rng = np.random.default_rng([16, seed])
         X = random_space(rng, n, weights="mass")
         Y = random_space(rng, m, weights="mass")
@@ -563,7 +582,7 @@ class TestSolveCgw:
 
     def test_start_costs_from_moments_match_the_dense_tensor(self, monkeypatch):
         # a start plan's cost comes from its moments; it equals the contraction
-        # of the plan with its dense conic_local_cost tensor. The largest
+        # of the plan with its dense oracles.conic_local_cost tensor. The largest
         # weight, 0.44, makes the solver's unit 1/4, so the plans are rescaled
         rng = np.random.default_rng(22)
         X = random_space(rng, 3, weights="random")
@@ -573,7 +592,8 @@ class TestSolveCgw:
         res = solve_cgw(X, Y, spec=spec, K=8, L=6, restarts=6, seed=4, max_rounds=1)
         assert [entry["init"] for entry in res.restart_log] == ["product"] * 3 + ["permutation"] * 3
         for entry, plan in zip(res.restart_log, inits, strict=True):
-            C = conic_local_cost(ConicPlan.from_grid(plan, res.alpha.R), X.dist, Y.dist, spec)
+            C = oracles.conic_local_cost(ConicPlan.from_grid(plan, res.alpha.R), X.dist, Y.dist,
+                                         spec)
             assert entry["trace"][0] > 1e-3
             np.testing.assert_allclose(entry["trace"][0], float(np.vdot(C, plan)), rtol=1e-12,
                                        atol=0)
@@ -614,9 +634,9 @@ class TestSolveCgw:
         shift = spec.rho * (rk * rk * mu.sum() + sl * sl * nu.sum())
         for plan in (product, permutation, solution):
             T = conic._first_moments(plan, r, s)
-            cost, c = conic._price(T, W, spec.rho, mass_sq, rk * sl)
-            C = conic_local_cost(ConicPlan.from_grid(plan, math.sqrt(mass_sq)), X.dist, Y.dist,
-                                 spec)
+            cost, c = conic.conic_local_cost(T, W, spec.rho, mass_sq, rk * sl)
+            C = oracles.conic_local_cost(ConicPlan.from_grid(plan, math.sqrt(mass_sq)), X.dist,
+                                         Y.dist, spec)
             np.testing.assert_allclose(c.reshape(n * m, -1) + shift,
                                        C[:, :, kk, ll].reshape(n * m, -1), rtol=1e-12, atol=0)
             assert cost > 1e-3

@@ -388,7 +388,7 @@ class TestBasisInverseKernel:
         X, Y = grid_spaces(8, 8, seed=8)
         R = math.sqrt(X.mass**2 + Y.mass**2)
         grid = np.random.default_rng(plan_seed).uniform(size=(8, 8, 11, 11))
-        C = conic.conic_local_cost(
+        C = oracles.conic_local_cost(
             conic.ConicPlan.from_grid(grid, R), X.dist, Y.dist, conic.ConeMetricSpec("gh", 1.0)
         )
         prob = full_grid_lp(X, Y, 10, 10, C.ravel())

@@ -6,7 +6,7 @@ PUBLIC = {
     "__version__", "pu_predict",
     # conic
     "CgwResult", "ConeMetricSpec", "ConicPlan", "cone_cost", "conic_energy", "conic_lift",
-    "conic_local_cost", "dilate", "perspective_H", "solve_cgw", "up_residual",
+    "dilate", "perspective_H", "solve_cgw", "up_residual",
     # flb
     "eccentricity", "solve_flb",
     # geometry
@@ -29,7 +29,7 @@ PUBLIC = {
 
 
 def test_export_list_is_the_public_surface():
-    assert len(PUBLIC) == 53
+    assert len(PUBLIC) == 52
     assert len(ugwkit.__all__) == len(set(ugwkit.__all__))
     assert set(ugwkit.__all__) == PUBLIC
     for name in ugwkit.__all__:

@@ -211,6 +211,18 @@ def test_plan_mass_must_be_finite(solve):
             solve(X, X, P, rho=1.0)
 
 
+@pytest.mark.parametrize("solve", [optimal_scale_quadratic, optimal_scale_linear])
+@pytest.mark.parametrize("rho", [0.0, -1.0, math.inf, math.nan])
+def test_rho_must_be_positive_and_finite(solve, rho):
+    # at rho = inf the quadratic scale came out NaN and the linear one raised
+    # "math domain error"
+    rng = np.random.default_rng(5)
+    X = random_space(rng, 3)
+    Y = random_space(rng, 3)
+    with pytest.raises(ValueError, match="rho must be positive and finite"):
+        solve(X, Y, random_plan(rng, 3, 3), rho=rho)
+
+
 @pytest.mark.parametrize("weight", [1.0, 1e100, 1e150])
 def test_residuals_stay_finite_on_heavy_plans(weight):
     # the product plan of weights 1e150 has mass 2e301: its own distortion
